@@ -242,26 +242,34 @@ def transport_path(src: Node, path: Path, dst: Node) -> Path:
     return resolve_path(dst, serialize_path(src, path))
 
 
-def _leftmost_paths(node: Node, prefix: tuple[PathStep, ...]) -> list[tuple[PathStep, ...]]:
+_BODY, _FUN, _ARG, _CONTENT = AbsBody(), AppFun(), AppArg(), ResourceContent()
+
+
+def _leftmost(node: Node, prefix: tuple[PathStep, ...]) -> list[tuple[tuple[PathStep, ...], App]]:
+    """(path, redex node) of each leftmost redex under node, unordered."""
     match node:
         case Var():
             return []
         case Abs(_, body):
-            return _leftmost_paths(body, prefix + (AbsBody(),))
+            return _leftmost(body, prefix + (_BODY,))
         case App(fun, arg, _):
             if isinstance(fun, Abs):
-                return [prefix]
-            got = _leftmost_paths(fun, prefix + (AppFun(),))
+                return [(prefix, node)]
+            got = _leftmost(fun, prefix + (_FUN,))
             if got:
                 return got
-            return _leftmost_paths(arg, prefix + (AppArg(),))
+            return _leftmost(arg, prefix + (_ARG,))
         case Bag(elements):
             acc = []
             for r in elements:
                 if isinstance(r, Linear):
-                    acc += _leftmost_paths(r.content, prefix + (BagElem(r.ident), ResourceContent()))
+                    acc += _leftmost(r.content, prefix + (BagElem(r.ident), _CONTENT))
             return acc
     raise TypeError(f"not a syntax node: {node!r}")
+
+
+def _leftmost_paths(m: Term) -> set[tuple[PathStep, ...]]:
+    return {p for p, _ in _leftmost(m, ())}
 
 
 def _bag_rule(bag: Bag) -> str:
@@ -272,38 +280,81 @@ def _bag_rule(bag: Bag) -> str:
 
 
 def find_redexes(m: Term) -> list[Redex]:
-    """All redexes of m, sorted by path, flagged outer and leftmost."""
-    lm = {p for p in _leftmost_paths(m, ())}
-    found: list[Redex] = []
+    """All redexes of m in path order, flagged outer and leftmost.
 
-    def walk(node: Node, prefix: tuple[PathStep, ...], outer: bool):
+    One depth-first walk emits them already ordered as path_key orders
+    them: a node's own redex, then those of its function, then those of
+    its bag elements by rank.  A bag is ranked with serialize_path's key,
+    under the binders in scope at the bag, and only when two or more of
+    its elements hold redexes.
+    """
+    lm = _leftmost_paths(m)
+
+    def walk(node: Node, prefix: tuple[PathStep, ...], outer: bool, levels: dict[str, int], depth: int) -> list[Redex]:
         match node:
-            case Var():
-                return
-            case Abs(_, body):
-                walk(body, prefix + (AbsBody(),), outer)
+            case Abs(binder, body):
+                return walk(body, prefix + (_BODY,), outer, {**levels, binder: depth}, depth + 1)
             case App(fun, arg, _):
+                found = []
                 if isinstance(fun, Abs):
                     found.append(Redex(Path(prefix), _bag_rule(arg), outer, prefix in lm))
-                walk(fun, prefix + (AppFun(),), outer)
-                for r in arg.elements:
-                    walk(
+                found += walk(fun, prefix + (_FUN,), outer, levels, depth)
+                held = []
+                for i, r in enumerate(arg.elements):
+                    got = walk(
                         r.content,
-                        prefix + (AppArg(), BagElem(r.ident), ResourceContent()),
+                        prefix + (_ARG, BagElem(r.ident), _CONTENT),
                         outer and isinstance(r, Linear),
+                        levels,
+                        depth,
                     )
+                    if got:
+                        held.append((i, r, got))
+                if len(held) > 1:
+                    held.sort(key=lambda h: (canon_at(h[1], levels, depth, ignore_labels=True), h[0]))
+                for _, _, got in held:
+                    found += got
+                return found
+        return []
 
-    walk(m, (), True)
-    return sorted(found, key=lambda r: path_key(m, r.path))
+    return walk(m, (), True, {}, 0)
 
 
 def leftmost_set(m: Term) -> set[Redex]:
-    return {r for r in find_redexes(m) if r.leftmost}
+    # Leftmost redexes are always outer.
+    return {Redex(Path(p), _bag_rule(node.arg), True, True) for p, node in _leftmost(m, ())}
+
+
+def _least_leftmost(m: Term) -> Redex | None:
+    """The least leftmost redex in path order; bags are ranked only on a tie."""
+    lm = leftmost_set(m)
+    if len(lm) > 1:
+        return min(lm, key=lambda r: path_key(m, r.path))
+    return next(iter(lm), None)
 
 
 def is_onf(m: Term) -> bool:
-    """Outer normal form: no redex outside every ! mark."""
-    return not any(r.outer for r in find_redexes(m))
+    """Outer normal form: no redex outside every ! mark.
+
+    Walks the linear positions only, with an explicit stack, and stops
+    at the first redex.
+    """
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        match node:
+            case Var():
+                pass
+            case Abs(_, body):
+                stack.append(body)
+            case App(fun, arg, _):
+                if isinstance(fun, Abs):
+                    return False
+                stack.append(fun)
+                stack.extend(r.content for r in arg.elements if isinstance(r, Linear))
+            case _:
+                raise TypeError(f"not a syntax node: {node!r}")
+    return True
 
 
 def precedes(p1: Path, p2: Path, m: Term) -> str:
@@ -394,8 +445,7 @@ def _redex_node(m: Term, path: Path) -> App:
 
 def redex_at(m: Term, path: Path) -> Redex:
     node = _redex_node(m, path)
-    lm = {p for p in _leftmost_paths(m, ())}
-    return Redex(path, _bag_rule(node.arg), linear_position(m, path), path.steps in lm)
+    return Redex(path, _bag_rule(node.arg), linear_position(m, path), path.steps in _leftmost_paths(m))
 
 
 def _fresh_redex(node: App) -> tuple[str, Term, Bag]:
@@ -522,9 +572,14 @@ def fire_nd(m: Term, path: Path, chosen=None) -> Step:
 
 
 def label(m: Term, targets: Iterable[Path]) -> Term:
-    """Attach labels 1..n to the redexes at the given paths."""
+    """Attach labels 1..n to the redexes at the given paths, in path order."""
+    return _label_in_order(m, sorted(targets, key=lambda p: path_key(m, p)))
+
+
+def _label_in_order(m: Term, paths: Iterable[Path]) -> Term:
+    """Attach labels 1..n to the redexes at paths already in path order."""
     out = m
-    for i, p in enumerate(sorted(targets, key=lambda p: path_key(m, p)), 1):
+    for i, p in enumerate(paths, 1):
         _redex_node(out, p)
         out = _relabel(out, p.steps, i)
     return out
@@ -635,25 +690,29 @@ def _sum_replace(state: Sum, target: Term, after: Sum) -> Sum:
     return Sum(tuple(items)) + after
 
 
-def _sorted_redexes(m: Term, leftmost_only: bool) -> list[Redex]:
-    rs = find_redexes(m)
-    return [r for r in rs if r.leftmost] if leftmost_only else rs
+def _candidates(m: Term, leftmost_only: bool) -> list[Redex]:
+    """The redexes a run may fire from m: all of them in path order, or
+    only the least leftmost one."""
+    if not leftmost_only:
+        return find_redexes(m)
+    least = _least_leftmost(m)
+    return [] if least is None else [least]
 
 
 def _nd_leftmost_run(m: Term, budget: int) -> Trace:
     steps: list[Step] = []
     cur = m
     for _ in range(budget):
-        lm = _sorted_redexes(cur, True)
-        if not lm:
+        r = _least_leftmost(cur)
+        if r is None:
             return Trace(m, tuple(steps), "nd", final=cur)
-        pairs = nd_reducts(cur, lm[0])
+        pairs = nd_reducts(cur, r)
         if not pairs:
             return Trace(m, tuple(steps), "nd", final=cur, crashed=True)
         local, whole = pairs[0]
-        steps.append(make_nd_step(cur, lm[0], local, whole))
+        steps.append(make_nd_step(cur, r, local, whole))
         cur = whole
-    done = not _sorted_redexes(cur, True)
+    done = is_onf(cur)
     return Trace(m, tuple(steps), "nd", final=cur, truncated=not done)
 
 
@@ -757,7 +816,7 @@ def _sum_run(m: Term, mode: str, budget: int, leftmost_only: bool) -> list[Trace
     out: list[Trace] = []
     while queue:
         node = queue.popleft()
-        targets = [(e, _sorted_redexes(e, leftmost_only)) for e, _ in node.state]
+        targets = [(e, _candidates(e, leftmost_only)) for e, _ in node.state]
         targets = [(e, rs) for e, rs in targets if rs]
         if not targets:
             out.append(_sum_trace_of(m, node, mode))
@@ -766,7 +825,7 @@ def _sum_run(m: Term, mode: str, budget: int, leftmost_only: bool) -> list[Trace
             out.append(_sum_trace_of(m, node, mode, truncated=True))
             continue
         for e, rs in targets:
-            for r in rs if not leftmost_only else rs[:1]:
+            for r in rs:
                 after = fire(e, r)
                 redex = redex_at(e, r.path)
                 if rule:

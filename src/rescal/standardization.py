@@ -25,15 +25,14 @@ from .reduction import (
     ResourceContent,
     Step,
     Trace,
+    _label_in_order,
     _redex_node,
     erase_labels,
     find_redexes,
     fire_nd,
     giant_local,
-    label,
     labels_in,
     nd_reducts,
-    path_key,
     plug,
     precedes,
     resolve,
@@ -158,11 +157,11 @@ def is_standard(t: Trace) -> StdReport:
     for i in range(len(steps) - 1):
         cur = steps[i].before
         fired = steps[i].redex.path
+        # find_redexes lists redexes in path order, so prior needs no sort.
         prior = [r.path for r in find_redexes(cur) if precedes(r.path, fired, cur) == "Before"]
         if not prior:
             continue
-        ordered = sorted(prior, key=lambda p: path_key(cur, p))
-        labelled = label(cur, ordered)
+        labelled = _label_in_order(cur, prior)
         lpath = transport_path(cur, fired, labelled)
         nxt = steps[i + 1]
         nxt_fired = serialize_path(nxt.before, nxt.redex.path)
@@ -172,7 +171,7 @@ def is_standard(t: Trace) -> StdReport:
                     if serialize_path(whole, p) == nxt_fired:
                         violation = (
                             i + 1,
-                            serialize_path(cur, ordered[lab - 1]),
+                            serialize_path(cur, prior[lab - 1]),
                             serialize_path(cur, fired),
                         )
                         return StdReport(False, violation)

@@ -312,3 +312,34 @@ def test_translate_rejects_bag_syntax(capsys):
     code, _, err = run(capsys, ["translate", "x[y]"])
     assert code == 3
     assert "parse error" in err
+
+
+# ------------------------------------------------------- structured records
+
+
+def test_structured_record_keys_match_the_readme(capsys, tmp_path):
+    """The key sets that README's "Structured records" section documents."""
+    tree_keys = {"rule", "judgment_in", "judgment_out", "choice", "children"}
+
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join(json.dumps(rec) for rec in trace_records(nonstandard_trace())) + "\n", encoding="utf-8")
+    _, out, _ = run(capsys, ["standardize", "--trace-file", str(f), "--check", "--format", "structured"])
+    rec = json.loads(out)
+    assert set(rec) == {"standard", "violation"}
+    assert set(rec["violation"]) == {"step", "residual_of", "previous_step_redex"}
+
+    _, out, _ = run(capsys, ["machine", "--format", "structured", rf"({I})[z]"])
+    rec = json.loads(out)
+    assert set(rec) == {"status", "result", "tree"}
+    assert set(rec["tree"]) == tree_keys
+    _, out, _ = run(capsys, ["machine", "--format", "structured", r"(\z.\y.y)[x]"])
+    assert set(json.loads(out)) == {"status", "stuck"}
+    _, out, _ = run(capsys, ["machine", "--format", "structured", "--budget", "50", OMEGA])
+    assert json.loads(out) == {"status": "budget-exhausted"}
+
+    _, out, _ = run(capsys, ["solvable", "--format", "structured", I])
+    rec = json.loads(out)
+    assert set(rec) == {"status", "witness"}
+    assert set(rec["witness"]) == tree_keys
+    _, out, _ = run(capsys, ["solvable", "--format", "structured", "--budget", "200", OMEGA])
+    assert set(json.loads(out)) == {"status", "explored", "exhaustive"}

@@ -102,6 +102,21 @@ def test_function_side_shadows_argument_bag():
     assert {r.path for r in leftmost_set(m)} == {redex_by_marker(m, "a").path}
 
 
+def test_is_onf_on_deep_terms_needs_no_recursion():
+    def nest(depth, inner, wrap):
+        for _ in range(depth):
+            inner = wrap(inner)
+        return inner
+
+    in_bag = lambda t: App(Var("y"), Bag((Linear(t),)))  # noqa: E731
+    lambdas = nest(10_000, Var("x"), lambda t: Abs("x", t))
+    bags = nest(10_000, Var("y"), in_bag)
+    redex_at_bottom = nest(10_000, App(Abs("x", Var("x")), Bag()), in_bag)
+    assert is_onf(lambdas) is True
+    assert is_onf(bags) is True
+    assert is_onf(redex_at_bottom) is False
+
+
 # ------------------------------------------------------------- the order
 
 
