@@ -24,9 +24,10 @@ from .syntax import (
     Term,
     Var,
     ZERO,
-    canon_at,
+    element_rank,
+    label_free_key,
 )
-from .substitution import classical_subst, linear_subst, partial_subst
+from .substitution import classical_subst, resource_subst
 from .reduction import (
     AbsBody,
     AppArg,
@@ -140,14 +141,6 @@ def _respine(head: Term, apps: list[App]) -> Term:
     return out
 
 
-def _ranked(elements) -> list:
-    return sorted(elements, key=lambda r: (r.canon(), r.ident))
-
-
-def _key(t: Node) -> tuple:
-    return canon_at(t, {}, 0, ignore_labels=True)
-
-
 def _spine_fire(m: Term):
     """Expand the head redex of an abstraction-headed spine by one bag
     element: rule name, per-choice continuations, and the sum size."""
@@ -161,15 +154,10 @@ def _spine_fire(m: Term):
             raise _Undef(m)
         return "0", [(None, None, _respine(s.sole(), rest_apps))], 1
     out = []
-    for elem in _ranked(bag.elements):
+    for elem in sorted(bag.elements, key=element_rank):
         rest = Bag(tuple(r for r in bag.elements if r is not elem))
-        if isinstance(elem, Linear):
-            rule = "beta"
-            s = linear_subst(body, binder, elem.content)
-        else:
-            rule = "!beta"
-            s = partial_subst(body, binder, elem.content)
-        addends = [t for t, _ in s]
+        rule = "beta" if isinstance(elem, Linear) else "!beta"
+        addends = [t for t, _ in resource_subst(body, binder, elem)]
         conts = [
             (elem, local, _respine(App(Abs(binder, local), rest, None), rest_apps))
             for local in addends
@@ -231,7 +219,7 @@ def _b_once(p: Bag, policy: str, rng, budget: _Budget) -> MachineNode:
     budget.spend()
     if not p.elements:
         return MachineNode(p, "1b", p, None, ())
-    elem = _ranked(p.elements)[0]
+    elem = min(p.elements, key=element_rank)
     rest = Bag(tuple(r for r in p.elements if r is not elem))
     if isinstance(elem, Linear):
         child0 = _nd_once(elem.content, policy, rng, budget)
@@ -250,11 +238,11 @@ def _dedup(outcomes: list[tuple]) -> list[tuple]:
     seen = set()
     out = []
     for o in outcomes:
-        key = (o[0], _key(o[1]) if o[0] in ("ok", "undef") and o[1] is not None else None)
+        key = (o[0], label_free_key(o[1]) if o[0] in ("ok", "undef") and o[1] is not None else None)
         if key not in seen:
             seen.add(key)
             out.append(o)
-    out.sort(key=lambda o: (("ok", "undef", "cycle", "budget").index(o[0]), _key(o[1]) if o[0] in ("ok", "undef") else ()))
+    out.sort(key=lambda o: (("ok", "undef", "cycle", "budget").index(o[0]), label_free_key(o[1]) if o[0] in ("ok", "undef") else ()))
     return out
 
 
@@ -373,7 +361,7 @@ class _Explorer:
     def _b_expand(self, p: Bag):
         if not p.elements:
             return [("ok", p, MachineNode(p, "1b", p, None, ()))], False
-        elem = _ranked(p.elements)[0]
+        elem = min(p.elements, key=element_rank)
         rest = Bag(tuple(r for r in p.elements if r is not elem))
         rest_results, t1 = self.bag(rest)
         out = []

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
-from .substitution import bag_subst, classical_subst, linear_subst, partial_subst
+from .substitution import bag_subst, classical_subst, resource_subst
 from .syntax import (
     Abs,
     App,
@@ -30,8 +30,10 @@ from .syntax import (
     canon_at,
     cons_linear,
     cons_reusable,
+    element_rank,
     free_vars,
     fresh_name,
+    label_free_key,
     mk_app,
     sum_abs,
 )
@@ -113,37 +115,47 @@ class Trace:
     crashed: bool = False
 
 
+def _descend(node: Node, step: PathStep) -> Node:
+    """The child of node that one path step addresses."""
+    match (node, step):
+        case (Abs(_, body), AbsBody()):
+            return body
+        case (App(fun, _, _), AppFun()):
+            return fun
+        case (App(_, arg, _), AppArg()):
+            return arg
+        case (Bag(elements), BagElem(ident)):
+            found = [r for r in elements if r.ident == ident]
+            if not found:
+                raise InvalidPath(f"no bag element with id {ident}")
+            return found[0]
+        case (Linear(content) | Reusable(content), ResourceContent()):
+            return content
+    raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
+
+
 def resolve(m: Node, path: Path) -> Node:
     """The subexpression of m at the given path."""
     node = m
     for step in path.steps:
-        match (node, step):
-            case (Abs(_, body), AbsBody()):
-                node = body
-            case (App(fun, _, _), AppFun()):
-                node = fun
-            case (App(_, arg, _), AppArg()):
-                node = arg
-            case (Bag(elements), BagElem(ident)):
-                found = [r for r in elements if r.ident == ident]
-                if not found:
-                    raise InvalidPath(f"no bag element with id {ident}")
-                node = found[0]
-            case (Linear(content) | Reusable(content), ResourceContent()):
-                node = content
-            case _:
-                raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
+        node = _descend(node, step)
     return node
+
+
+def _reusable_cut(m: Node, path: Path) -> int | None:
+    """Length of the shortest prefix of the path that enters the content
+    of a reusable element, or None when the path enters none."""
+    node = m
+    for i, step in enumerate(path.steps):
+        if isinstance(node, Reusable) and isinstance(step, ResourceContent):
+            return i + 1
+        node = _descend(node, step)
+    return None
 
 
 def linear_position(m: Node, path: Path) -> bool:
     """True when the path passes through no reusable element."""
-    node = m
-    for step in path.steps:
-        if isinstance(node, Reusable) and isinstance(step, ResourceContent):
-            return False
-        node = resolve(node, Path((step,)))
-    return True
+    return _reusable_cut(m, path) is None
 
 
 def _ranked_elements(bag: Bag, levels: dict[str, int], depth: int) -> list[Resource]:
@@ -275,7 +287,7 @@ def _leftmost_paths(m: Term) -> set[tuple[PathStep, ...]]:
 def _bag_rule(bag: Bag) -> str:
     if not bag.elements:
         return "Empty"
-    least = min(bag.elements, key=lambda r: (r.canon(), r.ident))
+    least = min(bag.elements, key=element_rank)
     return "LinearHead" if isinstance(least, Linear) else "ReusableHead"
 
 
@@ -470,13 +482,9 @@ def baby_local(node: App) -> Sum:
     binder, body, bag = _fresh_redex(node)
     if not bag.elements:
         return classical_subst(body, binder, ZERO)
-    least = min(bag.elements, key=lambda r: (r.canon(), r.ident))
+    least = min(bag.elements, key=element_rank)
     rest = Bag(tuple(e for e in bag.elements if e.ident != least.ident))
-    if isinstance(least, Linear):
-        new_body = linear_subst(body, binder, least.content)
-    else:
-        new_body = partial_subst(body, binder, least.content)
-    return mk_app(sum_abs(binder, new_body), Sum.of(rest), None)
+    return mk_app(sum_abs(binder, resource_subst(body, binder, least)), Sum.of(rest), None)
 
 
 def giant_step(m: Term, r: Redex) -> Sum:
@@ -501,13 +509,9 @@ def baby_expand(m: Term, r: Redex) -> Sum:
         if not remaining.elements:
             acc = acc + classical_subst(cur, binder, ZERO).scaled(mult)
             continue
-        least = min(remaining.elements, key=lambda e: (e.canon(), e.ident))
+        least = min(remaining.elements, key=element_rank)
         rest = Bag(tuple(e for e in remaining.elements if e.ident != least.ident))
-        if isinstance(least, Linear):
-            fed = linear_subst(cur, binder, least.content)
-        else:
-            fed = partial_subst(cur, binder, least.content)
-        for t, k in fed:
+        for t, k in resource_subst(cur, binder, least):
             work.append((t, rest, mult * k))
     return plug(m, r.path, acc)
 
@@ -564,7 +568,7 @@ def fire_nd(m: Term, path: Path, chosen=None) -> Step:
     if chosen is None:
         local, whole = pairs[0]
     else:
-        matching = [(t, w) for t, w in pairs if canon_at(t, {}, 0, ignore_labels=True) == chosen]
+        matching = [(t, w) for t, w in pairs if label_free_key(t) == chosen]
         if not matching:
             raise InvalidTrace("chosen addend is not a reduct of the fired redex")
         local, whole = matching[0]
@@ -653,6 +657,16 @@ def erase_labels(m: Node) -> Node:
     raise TypeError(f"not a syntax node: {m!r}")
 
 
+def _labelled_outcomes(labelled: Term, path: Path, expected: Term):
+    """The labelled reducts of firing the redex at path that erase to
+    expected."""
+    node = _redex_node(labelled, path)
+    for t, _ in giant_local(node):
+        whole = plug(labelled, path, Sum.of(t)).sole()
+        if erase_labels(whole) == expected:
+            yield whole
+
+
 def residuals(labelled_term: Term, step: Step) -> dict[int, set[Path]]:
     """Where each labelled redex survives after the given nd step.
 
@@ -664,13 +678,10 @@ def residuals(labelled_term: Term, step: Step) -> dict[int, set[Path]]:
     if erase_labels(labelled_term) != step.before:
         raise InvalidTrace("labelled term does not erase to the step source")
     path = transport_path(step.before, step.redex.path, labelled_term)
-    node = _redex_node(labelled_term, path)
     out: dict[int, set[Path]] = {}
-    for t, _ in giant_local(node):
-        whole = plug(labelled_term, path, Sum.of(t)).sole()
-        if erase_labels(whole) == step.after:
-            for lab, paths in labels_in(whole).items():
-                out.setdefault(lab, set()).update(paths)
+    for whole in _labelled_outcomes(labelled_term, path, step.after):
+        for lab, paths in labels_in(whole).items():
+            out.setdefault(lab, set()).update(paths)
     return out
 
 
@@ -728,117 +739,97 @@ def _nd_paths_run(m: Term, budget: int, paths: Iterable) -> Trace:
 
 @dataclass
 class _SearchNode:
-    term: Term
+    """A search state, with the step that reached it from its parent."""
+
+    state: object
     parent: "_SearchNode | None"
     step: Step | None
     depth: int
 
-
-def _trace_of(node: _SearchNode, mode: str, **flags) -> Trace:
-    steps = []
-    cur = node
-    while cur.step is not None:
-        steps.append(cur.step)
-        cur = cur.parent
-    steps.reverse()
-    return Trace(cur.term, tuple(steps), mode, final=node.term, **flags)
-
-
-def _in_ancestry(node: _SearchNode, key) -> bool:
-    cur = node
-    while cur is not None:
-        if cur.term.canon() == key:
-            return True
-        cur = cur.parent
-    return False
+    def steps(self) -> tuple[Step, ...]:
+        """The steps from the root to this node."""
+        out = []
+        node = self
+        while node.step is not None:
+            out.append(node.step)
+            node = node.parent
+        return tuple(reversed(out))
 
 
-def _nd_all_run(m: Term, budget: int) -> list[Trace]:
-    root = _SearchNode(m, None, None, 0)
-    queue = deque([root])
-    visited = {m.canon()}
-    out: list[Trace] = []
+def _search(root, moves, fire, budget: int, key):
+    """Bounded breadth-first search from root, one event per outcome.
+
+    moves(state) lists a state's moves without firing them; an empty
+    list marks a final state.  fire(state, move) yields (step, next
+    state) pairs; yielding none marks a crashed move.  States are
+    deduplicated by key(state).  Yields (event, node) in search order:
+    "final" for a final state, "cut" for a state with moves at the depth
+    budget, "crash" once per crashed move of a state, and for each child
+    "new" the first time its key is reached or "seen" afterwards.
+    """
+    queue = deque([_SearchNode(root, None, None, 0)])
+    visited = {key(root)}
     while queue:
         node = queue.popleft()
-        rs = find_redexes(node.term)
-        if not rs:
-            out.append(_trace_of(node, "nd"))
+        ms = moves(node.state)
+        if not ms:
+            yield "final", node
             continue
         if node.depth >= budget:
-            out.append(_trace_of(node, "nd", truncated=True))
+            yield "cut", node
             continue
-        for r in rs:
-            pairs = nd_reducts(node.term, r)
-            if not pairs:
-                out.append(_trace_of(node, "nd", crashed=True))
-                continue
-            for local, whole in pairs:
-                step = make_nd_step(node.term, r, local, whole)
-                child = _SearchNode(whole, node, step, node.depth + 1)
-                if whole.canon() in visited:
-                    # A repeated state still gets a trace, so every
-                    # explored edge shows up in the output.
-                    out.append(_trace_of(child, "nd", truncated=True))
+        for move in ms:
+            crashed = True
+            for step, state in fire(node.state, move):
+                crashed = False
+                child = _SearchNode(state, node, step, node.depth + 1)
+                k = key(state)
+                if k in visited:
+                    yield "seen", child
                 else:
-                    visited.add(whole.canon())
+                    visited.add(k)
                     queue.append(child)
+                    yield "new", child
+            if crashed:
+                yield "crash", node
+
+
+def _nd_fire(m: Term, r: Redex):
+    """Each nd step of firing r, with the term it reaches."""
+    return ((make_nd_step(m, r, local, whole), whole) for local, whole in nd_reducts(m, r))
+
+
+def _run_traces(m: Term, mode: str, events) -> list[Trace]:
+    """One trace per search event except "new".  A repeated state still
+    gets a (truncated) trace, so every explored edge shows up."""
+    out: list[Trace] = []
+    for event, node in events:
+        if event == "new":
+            continue
+        crashed = (event == "crash") if mode == "nd" else node.state.is_zero
+        truncated = event in ("cut", "seen")
+        out.append(Trace(m, node.steps(), mode, final=node.state, truncated=truncated, crashed=crashed))
     return out
 
 
-@dataclass
-class _SumNode:
-    state: Sum
-    parent: "_SumNode | None"
-    step: Step | None
-    depth: int
-
-
-def _sum_trace_of(initial: Term, node: _SumNode, mode: str, **flags) -> Trace:
-    steps = []
-    cur = node
-    while cur.step is not None:
-        steps.append(cur.step)
-        cur = cur.parent
-    steps.reverse()
-    crashed = flags.pop("crashed", node.state.is_zero)
-    return Trace(initial, tuple(steps), mode, final=node.state, crashed=crashed, **flags)
+def _nd_all_run(m: Term, budget: int) -> list[Trace]:
+    return _run_traces(m, "nd", _search(m, find_redexes, _nd_fire, budget, Node.canon))
 
 
 def _sum_run(m: Term, mode: str, budget: int, leftmost_only: bool) -> list[Trace]:
     """Whole-sum reduction search: each step rewrites one addend
     occurrence, branching over addends (and over redexes unless
     leftmost_only)."""
-    fire = giant_step if mode == "giant" else baby_step
-    rule = "Giant" if mode == "giant" else None
-    root = _SumNode(Sum.of(m), None, None, 0)
-    queue = deque([root])
-    visited = {root.state.canon()}
-    out: list[Trace] = []
-    while queue:
-        node = queue.popleft()
-        targets = [(e, _candidates(e, leftmost_only)) for e, _ in node.state]
-        targets = [(e, rs) for e, rs in targets if rs]
-        if not targets:
-            out.append(_sum_trace_of(m, node, mode))
-            continue
-        if node.depth >= budget:
-            out.append(_sum_trace_of(m, node, mode, truncated=True))
-            continue
-        for e, rs in targets:
-            for r in rs:
-                after = fire(e, r)
-                redex = redex_at(e, r.path)
-                if rule:
-                    redex = replace(redex, rule=rule)
-                step = Step(e, redex, mode, after)
-                child_state = _sum_replace(node.state, e, after)
-                child = _SumNode(child_state, node, step, node.depth + 1)
-                if child_state.canon() in visited:
-                    out.append(_sum_trace_of(m, child, mode, truncated=True))
-                else:
-                    visited.add(child_state.canon())
-                    queue.append(child)
-    return out
+    make = make_giant_step if mode == "giant" else make_baby_step
+
+    def moves(state: Sum) -> list[tuple[Term, Redex]]:
+        return [(e, r) for e, _ in state for r in _candidates(e, leftmost_only)]
+
+    def fire(state: Sum, move: tuple[Term, Redex]):
+        step = make(*move)
+        return [(step, _sum_replace(state, step.before, step.after))]
+
+    return _run_traces(m, mode, _search(Sum.of(m), moves, fire, budget, Node.canon))
 
 
 def strategy_run(m: Term, mode: str = "nd", pick: str = "leftmost", budget: int = 100, paths=None) -> list[Trace]:
@@ -909,7 +900,7 @@ def trace_from_records(records: list[dict]) -> Trace:
         chosen = rec.get("chosen_addend")
         chosen_key = None
         if chosen is not None:
-            chosen_key = canon_at(parse_term(chosen), {}, 0, ignore_labels=True)
+            chosen_key = label_free_key(parse_term(chosen))
         step = fire_nd(cur, resolve_path(cur, rec["redex_path"]), chosen_key)
         if parse_term(rec["term_after"]) != step.after:
             raise InvalidTrace(f"step {rec['index']} result does not match")

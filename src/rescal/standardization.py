@@ -10,10 +10,9 @@ swaps, split the inner part by the holes of the outer shape, and
 recurse into the hole contents.
 """
 
-from collections import deque
 from dataclasses import dataclass, replace
 
-from .syntax import Abs, App, Bag, Hole, Linear, Reusable, Sum, Term, Var, canon_at
+from .syntax import Abs, App, Bag, Hole, Node, Reusable, Term, Var, canon_at, label_free_key
 from .reduction import (
     AbsBody,
     AppArg,
@@ -26,14 +25,15 @@ from .reduction import (
     Step,
     Trace,
     _label_in_order,
-    _redex_node,
-    erase_labels,
+    _labelled_outcomes,
+    _nd_fire,
+    _reusable_cut,
+    _search,
     find_redexes,
     fire_nd,
-    giant_local,
     labels_in,
+    make_nd_step,
     nd_reducts,
-    plug,
     precedes,
     resolve,
     resolve_path,
@@ -94,14 +94,10 @@ class OuterShape:
     holes: tuple[HoleSite, ...]
 
 
-def _key(local: Term) -> tuple:
-    return canon_at(local, {}, 0, ignore_labels=True)
-
-
 def _refire(cur: Term, old: Step) -> Step:
     """Fire old's move on an alpha-equivalent term."""
     path = transport_path(old.before, old.redex.path, cur)
-    return fire_nd(cur, path, _key(old.local))
+    return fire_nd(cur, path, label_free_key(old.local))
 
 
 def _chain(initial: Term, steps) -> list[Step]:
@@ -136,14 +132,6 @@ def _trace(initial: Term, steps: list[Step]) -> Trace:
 
 
 # ---------------------------------------------------------------- checking
-
-
-def _labelled_outcomes(labelled: Term, path: Path, expected: Term):
-    node = _redex_node(labelled, path)
-    for t, _ in giant_local(node):
-        whole = plug(labelled, path, Sum.of(t)).sole()
-        if erase_labels(whole) == expected:
-            yield whole
 
 
 def is_standard(t: Trace) -> StdReport:
@@ -241,50 +229,48 @@ def plug_shape(shape: OuterShape) -> Term:
 # ----------------------------------------------------------- factorization
 
 
-def _factor_search(initial: Term, target: Term, max_len: int):
-    """Shortest outer*-then-inner* nd chain between the endpoints."""
-    start = (0, initial, [], [])
-    queue = deque([start])
-    visited = {(0, initial.canon())}
-    explored = 0
-    while queue:
-        phase, cur, outs, ins = queue.popleft()
-        if cur == target:
-            return outs, ins
-        explored += 1
-        if len(outs) + len(ins) >= max_len:
+def _factor_search(initial: Term, target: Term, max_len: int) -> tuple[list[Step], list[Step]]:
+    """Shortest outer*-then-inner* nd chain between the endpoints.
+
+    A search state is (phase, term): phase 1 once an inner step has
+    fired, after which outer steps may not follow.
+    """
+    if initial == target:
+        return [], []
+
+    def moves(state: tuple[int, Term]):
+        phase, cur = state
+        return [r for r in find_redexes(cur) if not (phase and r.outer)]
+
+    def fire(state: tuple[int, Term], r):
+        return ((step, (0 if r.outer else 1, whole)) for step, whole in _nd_fire(state[1], r))
+
+    explored = 1
+    for event, node in _search((0, initial), moves, fire, max_len, lambda s: (s[0], s[1].canon())):
+        if event != "new":
             continue
-        for r in find_redexes(cur):
-            if r.outer and phase == 1:
-                continue  # outer steps may not follow an inner one
-            for local, whole in nd_reducts(cur, r):
-                key = (0 if r.outer else 1, whole.canon())
-                if key in visited:
-                    continue
-                visited.add(key)
-                step = fire_nd(cur, r.path, _key(local))
-                if r.outer:
-                    queue.append((0, whole, outs + [step], ins))
-                else:
-                    queue.append((1, whole, outs, ins + [step]))
+        if node.state[1] == target:
+            steps = node.steps()
+            return [s for s in steps if s.redex.outer], [s for s in steps if not s.redex.outer]
+        explored += 1
     raise SearchExhausted(
         f"no outer-then-inner chain of length <= {max_len} reaches the endpoint",
         explored,
     )
 
 
-def factor_outer_inner(t: Trace, slack: int = DEFAULT_SLACK) -> tuple[Trace, Trace]:
+def factor_outer_inner(t: Trace) -> tuple[Trace, Trace]:
     """Split a trace into an outer part followed by an inner part.
 
     Found by breadth-first search over chains of length at most the
-    input length plus slack; the two returned traces share endpoints
-    with the input.
+    input length plus DEFAULT_SLACK; the two returned traces share
+    endpoints with the input.
     """
     steps = _validated(t)
     target = steps[-1].after if steps else t.initial
-    outs, ins = _factor_search(t.initial, target, len(steps) + slack)
+    outs, ins = _factor_search(t.initial, target, len(steps) + DEFAULT_SLACK)
     mid = outs[-1].after if outs else t.initial
-    return _trace(t.initial, outs), _trace(mid, _chain(mid, ins))
+    return _trace(t.initial, outs), _trace(mid, ins)
 
 
 # ------------------------------------------------------------- reordering
@@ -297,15 +283,12 @@ def _leftmost_first_swap(a: Term, target: Term) -> list[Step]:
         if not r1.leftmost:
             continue
         for l1, b in nd_reducts(a, r1):
-            s1 = fire_nd(a, r1.path, _key(l1))
-            for r2 in find_redexes(s1.after):
+            for r2 in find_redexes(b):
                 if not r2.outer:
                     continue
-                for l2, c in nd_reducts(s1.after, r2):
+                for l2, c in nd_reducts(b, r2):
                     if c == target:
-                        s2 = fire_nd(s1.after, r2.path, _key(l2))
-                        if s2.after == target:
-                            return [s1, s2]
+                        return [make_nd_step(a, r1, l1, b), make_nd_step(b, r2, l2, c)]
     raise SearchExhausted(
         "no leftmost-first two-step replacement reaches the same term; "
         "this contradicts the swap property of leftmost steps"
@@ -319,7 +302,7 @@ def _project(sub0: Term, group: list[Step], depth: int) -> list[Step]:
     for s in group:
         src = resolve(s.before, Path(s.redex.path.steps[:depth]))
         rel = serialize_path(src, Path(s.redex.path.steps[depth:]))
-        step = fire_nd(cur, resolve_path(cur, rel), _key(s.local))
+        step = fire_nd(cur, resolve_path(cur, rel), label_free_key(s.local))
         out.append(step)
         cur = step.after
     return out
@@ -331,14 +314,14 @@ def _emit(cur: Term, anchor: tuple[PathStep, ...], sub_steps: list[Step]):
     for ss in sub_steps:
         sub = resolve(cur, Path(anchor))
         rel = transport_path(ss.before, ss.redex.path, sub)
-        step = fire_nd(cur, Path(anchor + rel.steps), _key(ss.local))
+        step = fire_nd(cur, Path(anchor + rel.steps), label_free_key(ss.local))
         out.append(step)
         cur = step.after
     return cur, out
 
 
 def _group_sort_key(initial: Term, anchor: tuple[PathStep, ...]) -> tuple:
-    return (_key(resolve(initial, Path(anchor))), anchor[-2].ident if len(anchor) >= 2 else 0)
+    return (label_free_key(resolve(initial, Path(anchor))), anchor[-2].ident if len(anchor) >= 2 else 0)
 
 
 def _std_pure(initial: Term, steps: list[Step]) -> list[Step]:
@@ -379,8 +362,8 @@ def _std_pure(initial: Term, steps: list[Step]) -> list[Step]:
 
 
 def _std_outer(initial: Term, steps: list[Step]) -> list[Step]:
-    """Reorder an outer chain so every leftmost step comes first."""
-    steps = _chain(initial, steps)
+    """Reorder an outer chain, threaded on initial, so every leftmost
+    step comes first."""
     if not steps:
         return []
     idx = next((i for i, s in enumerate(steps) if s.redex.leftmost), None)
@@ -409,63 +392,31 @@ def reorder_outer(t: Trace) -> Trace:
 
 
 def _find_chain(m: Term, n: Term, bound: int) -> list[Step]:
+    """A shortest nd chain from m to n of at most bound steps."""
     if m == n:
         return []
-    queue = deque([(m, [])])
-    visited = {m.canon()}
-    while queue:
-        cur, steps = queue.popleft()
-        if len(steps) >= bound:
-            continue
-        for r in find_redexes(cur):
-            for local, whole in nd_reducts(cur, r):
-                if whole.canon() in visited:
-                    continue
-                visited.add(whole.canon())
-                step = fire_nd(cur, r.path, _key(local))
-                if whole == n:
-                    return steps + [step]
-                queue.append((whole, steps + [step]))
+    for event, node in _search(m, find_redexes, _nd_fire, bound, Node.canon):
+        if event == "new" and node.state == n:
+            return list(node.steps())
     raise NoChainFound(f"no nd chain of length <= {bound} from {m!r} to {n!r}")
 
 
-def _first_reusable_cut(m: Term, path: Path) -> int:
-    node = m
-    for i, step in enumerate(path.steps):
-        if isinstance(node, (Linear, Reusable)) and isinstance(step, ResourceContent):
-            if isinstance(node, Reusable):
-                return i + 1
-            node = node.content
-        elif isinstance(node, Abs) and isinstance(step, AbsBody):
-            node = node.body
-        elif isinstance(node, App) and isinstance(step, AppFun):
-            node = node.fun
-        elif isinstance(node, App) and isinstance(step, AppArg):
-            node = node.arg
-        elif isinstance(node, Bag) and isinstance(step, BagElem):
-            found = [r for r in node.elements if r.ident == step.ident]
-            if not found:
-                raise InvalidTrace(f"no bag element with id {step.ident}")
-            node = found[0]
-        else:
-            raise InvalidTrace(f"step {step!r} does not match {type(node).__name__}")
-    raise InvalidTrace("inner step fires at an outer position")
-
-
-def _standardize_steps(initial: Term, steps: list[Step], slack: int, depth: int) -> list[Step]:
+def _standardize_steps(initial: Term, steps: list[Step], depth: int) -> list[Step]:
     if depth > _MAX_RECURSION:
         raise SearchExhausted(f"standardization recursion exceeded depth {_MAX_RECURSION}")
     if not steps:
         return []
     target = steps[-1].after
-    outs, ins = _factor_search(initial, target, len(steps) + slack)
+    outs, ins = _factor_search(initial, target, len(steps) + DEFAULT_SLACK)
     std_outer = _std_outer(initial, outs)
     mid = std_outer[-1].after if std_outer else initial
     ins = _chain(mid, ins)
     groups: dict[tuple[PathStep, ...], list[Step]] = {}
     for s in ins:
-        prefix = s.redex.path.steps[: _first_reusable_cut(s.before, s.redex.path)]
-        groups.setdefault(prefix, []).append(s)
+        cut = _reusable_cut(s.before, s.redex.path)
+        if cut is None:
+            raise InvalidTrace("inner step fires at an outer position")
+        groups.setdefault(s.redex.path.steps[:cut], []).append(s)
     shape = outer_shape(mid)
     site_order = {site.path.steps: site.index for site in shape.holes}
     out = list(std_outer)
@@ -473,13 +424,13 @@ def _standardize_steps(initial: Term, steps: list[Step], slack: int, depth: int)
     for prefix in sorted(groups, key=lambda p: site_order[p]):
         sub0 = resolve(mid, Path(prefix))
         sub_steps = _project(sub0, groups[prefix], len(prefix))
-        rec = _standardize_steps(sub0, sub_steps, slack, depth + 1)
+        rec = _standardize_steps(sub0, sub_steps, depth + 1)
         cur, emitted = _emit(cur, prefix, rec)
         out += emitted
     return out
 
 
-def standardize(m: Term, n: Term, bound: int = 8, slack: int = DEFAULT_SLACK) -> Trace:
+def standardize(m: Term, n: Term, bound: int = 8) -> Trace:
     """Build a standard nd trace from m to n.
 
     A shortest chain is found by search, factored into outer then inner
@@ -488,7 +439,7 @@ def standardize(m: Term, n: Term, bound: int = 8, slack: int = DEFAULT_SLACK) ->
     gluing hole chains in canonical hole order.
     """
     chain = _find_chain(m, n, bound)
-    std = _standardize_steps(m, chain, slack, 0)
+    std = _standardize_steps(m, chain, 0)
     result = _trace(m, std)
     if result.final != n:
         raise SearchExhausted("standardized chain misses the endpoint")

@@ -29,6 +29,7 @@ from .syntax import (
     ZERO,
     cons_linear,
     cons_reusable,
+    element_rank,
     free_vars,
     fresh_name,
     mk_app,
@@ -146,6 +147,6 @@ def bag_subst(a: Node, x: str, p: Bag) -> Sum:
     if x in free_vars(p):
         raise FreshnessViolation(f"variable {x!r} occurs in the substituted bag")
     acc = a if isinstance(a, Sum) else Sum.of(a)
-    for r in sorted(p.elements, key=lambda e: (e.canon(), e.ident)):
+    for r in sorted(p.elements, key=element_rank):
         acc = resource_subst(acc, x, r)
     return acc

@@ -218,6 +218,16 @@ def canonicalize(e: Node):
     return e.canon()
 
 
+def label_free_key(e: Node) -> tuple:
+    """Canonical form of e with redex labels ignored."""
+    return canon_at(e, {}, 0, ignore_labels=True)
+
+
+def element_rank(r: Resource) -> tuple:
+    """The order in which bag elements are fed: canonical form, then id."""
+    return (r.canon(), r.ident)
+
+
 def free_vars(e: Node) -> frozenset[str]:
     match e:
         case Var(name):
