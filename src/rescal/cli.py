@@ -139,7 +139,7 @@ def _emit_trace_lines(t: Trace, index: int) -> None:
 
 def _render_tree(node, depth: int = 0) -> list[str]:
     pad = "  " * depth
-    chose = f"  [chose {node.choice}]" if node.choice is not None else ""
+    chose = f"  [chose {print_expr(node.choice)}]" if node.choice is not None else ""
     lines = [f"{pad}({node.rule}) {print_expr(node.input)} => {print_expr(node.output)}{chose}"]
     for child in node.children:
         lines.extend(_render_tree(child, depth + 1))

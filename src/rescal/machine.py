@@ -25,7 +25,6 @@ from .syntax import (
     Var,
     ZERO,
     element_rank,
-    label_free_key,
 )
 from .substitution import classical_subst, resource_subst
 from .reduction import (
@@ -64,7 +63,7 @@ class MachineNode:
     input: Node
     rule: str  # "lambda" | "end" | "head" | "0" | "beta" | "!beta" | "1b" | "b" | "!b"
     output: Node
-    choice: str | None
+    choice: Term | None  # the chosen local reduct when the rule had several; printed when rendered
     children: tuple["MachineNode", ...]
 
 
@@ -175,7 +174,7 @@ def _pick(policy: str, rng, items: list):
 def _nd_once(m: Term, policy: str, rng, budget: _Budget) -> MachineNode:
     # One-premise rules chain iteratively so run length is capped by the
     # budget, not the interpreter recursion limit.
-    frames: list[tuple[Term, str, str | None, bool]] = []
+    frames: list[tuple[Term, str, Term | None, bool]] = []
     cur = m
     while True:
         budget.spend()
@@ -205,7 +204,7 @@ def _nd_once(m: Term, policy: str, rng, budget: _Budget) -> MachineNode:
                 if not conts:
                     raise _Undef(cur)
                 _, local, cont = _pick(policy, rng, conts)
-                frames.append((cur, rule, repr(local) if width > 1 else None, False))
+                frames.append((cur, rule, local if width > 1 else None, False))
                 cur = cont
                 continue
         raise TypeError(f"not a machine subject: {cur!r}")
@@ -234,16 +233,22 @@ def _b_once(p: Bag, policy: str, rng, budget: _Budget) -> MachineNode:
 # --------------------------------------------------------- enumerate-all
 
 
+_KINDS = ("ok", "undef", "cycle", "budget")
+
+
 def _dedup(outcomes: list[tuple]) -> list[tuple]:
+    """Outcomes deduplicated by kind and result, in canonical order.  The
+    machine erases labels on entry, so the cached canonical form of a
+    result is its label-free key."""
     seen = set()
-    out = []
+    keyed = []
     for o in outcomes:
-        key = (o[0], label_free_key(o[1]) if o[0] in ("ok", "undef") and o[1] is not None else None)
+        key = (_KINDS.index(o[0]), o[1].canon() if o[0] in ("ok", "undef") else ())
         if key not in seen:
             seen.add(key)
-            out.append(o)
-    out.sort(key=lambda o: (("ok", "undef", "cycle", "budget").index(o[0]), label_free_key(o[1]) if o[0] in ("ok", "undef") else ()))
-    return out
+            keyed.append((key, o))
+    keyed.sort(key=lambda ko: ko[0])
+    return [o for _, o in keyed]
 
 
 class _Explorer:
@@ -352,7 +357,7 @@ class _Explorer:
                 out.append(("undef", m, None))
                 continue
             for _, local, cont in conts:
-                choice = repr(local) if width > 1 else None
+                choice = local if width > 1 else None
                 got, t = self._wrap(m, rule, choice, self.nd(cont), lambda t_: t_)
                 out += got
                 tainted |= t
@@ -611,7 +616,7 @@ def tree_record(node: MachineNode) -> dict:
         "rule": node.rule,
         "judgment_in": print_expr(node.input),
         "judgment_out": print_expr(node.output),
-        "choice": node.choice,
+        "choice": None if node.choice is None else print_expr(node.choice),
         "children": [tree_record(c) for c in node.children],
     }
 

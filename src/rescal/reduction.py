@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
-from .substitution import bag_subst, classical_subst, resource_subst
+from .substitution import _reusables, classical_subst, resource_subst
 from .syntax import (
     Abs,
     App,
@@ -28,8 +28,6 @@ from .syntax import (
     Var,
     ZERO,
     canon_at,
-    cons_linear,
-    cons_reusable,
     element_rank,
     free_vars,
     fresh_name,
@@ -257,31 +255,57 @@ def transport_path(src: Node, path: Path, dst: Node) -> Path:
 _BODY, _FUN, _ARG, _CONTENT = AbsBody(), AppFun(), AppArg(), ResourceContent()
 
 
-def _leftmost(node: Node, prefix: tuple[PathStep, ...]) -> list[tuple[tuple[PathStep, ...], App]]:
-    """(path, redex node) of each leftmost redex under node, unordered."""
-    match node:
-        case Var():
-            return []
-        case Abs(_, body):
-            return _leftmost(body, prefix + (_BODY,))
-        case App(fun, arg, _):
-            if isinstance(fun, Abs):
-                return [(prefix, node)]
-            got = _leftmost(fun, prefix + (_FUN,))
-            if got:
-                return got
-            return _leftmost(arg, prefix + (_ARG,))
-        case Bag(elements):
-            acc = []
-            for r in elements:
-                if isinstance(r, Linear):
-                    acc += _leftmost(r.content, prefix + (BagElem(r.ident), _CONTENT))
-            return acc
-    raise TypeError(f"not a syntax node: {node!r}")
+def _leftmost(m: Term) -> list[tuple[tuple[PathStep, ...], App]]:
+    """(path, redex node) of each leftmost redex of m, unordered.
+
+    A redex is leftmost itself; an application that is no redex has the
+    leftmost redexes of its function, or, when that has none, those of
+    the contents of its linear bag elements.  The walk keeps an explicit
+    stack: a marker under the function's entry records how many redexes
+    were found before it, so the bag is entered only if the function
+    added none.  Paths are linked to their parents and spelled out only
+    for the redexes found.
+    """
+    found: list[tuple[tuple[PathStep, ...], App]] = []
+    stack: list[tuple[Node, tuple | None, int]] = [(m, None, -1)]
+    while stack:
+        node, link, mark = stack.pop()
+        if mark >= 0:
+            # node is an application whose function has been walked.
+            if len(found) == mark:
+                stack.extend(
+                    (r.content, (link, (_ARG, BagElem(r.ident), _CONTENT)), -1)
+                    for r in reversed(node.arg.elements)
+                    if isinstance(r, Linear)
+                )
+            continue
+        match node:
+            case Var():
+                pass
+            case Abs(_, body):
+                stack.append((body, (link, (_BODY,)), -1))
+            case App(fun, _, _):
+                if isinstance(fun, Abs):
+                    found.append((_spelled(link), node))
+                else:
+                    stack.append((node, link, len(found)))
+                    stack.append((fun, (link, (_FUN,)), -1))
+            case _:
+                raise TypeError(f"not a syntax node: {node!r}")
+    return found
+
+
+def _spelled(link: tuple | None) -> tuple[PathStep, ...]:
+    """The steps of a linked path, root first."""
+    chunks = []
+    while link is not None:
+        link, steps = link
+        chunks.append(steps)
+    return tuple(step for steps in reversed(chunks) for step in steps)
 
 
 def _leftmost_paths(m: Term) -> set[tuple[PathStep, ...]]:
-    return {p for p, _ in _leftmost(m, ())}
+    return {p for p, _ in _leftmost(m)}
 
 
 def _bag_rule(bag: Bag) -> str:
@@ -334,7 +358,7 @@ def find_redexes(m: Term) -> list[Redex]:
 
 def leftmost_set(m: Term) -> set[Redex]:
     # Leftmost redexes are always outer.
-    return {Redex(Path(p), _bag_rule(node.arg), True, True) for p, node in _leftmost(m, ())}
+    return {Redex(Path(p), _bag_rule(node.arg), True, True) for p, node in _leftmost(m)}
 
 
 def _least_leftmost(m: Term) -> Redex | None:
@@ -411,41 +435,49 @@ def plug(m: Term, path: Path, s: Sum) -> Sum:
     element distributes likewise, while a reusable element collapses the
     sum into sibling elements of a single bag.  Untouched subterms are
     shared, so element ids away from the path are stable; a reusable
-    element filled with a one-addend sum keeps its id too.
+    element filled with a one-addend sum keeps its id too.  The path is
+    walked down once and the addends rebuilt up it as plain pairs, with
+    one Sum built at the end.
     """
-    return _plug(m, path.steps, s)
-
-
-def _plug(node: Node, steps: tuple[PathStep, ...], s: Sum) -> Sum:
-    if not steps:
+    if not path.steps:
         return s
-    step = steps[0]
-    match (node, step):
-        case (Abs(binder, body), AbsBody()):
-            return sum_abs(binder, _plug(body, steps[1:], s))
-        case (App(fun, arg, label), AppFun()):
-            return mk_app(_plug(fun, steps[1:], s), Sum.of(arg), label)
-        case (App(fun, arg, label), AppArg()):
-            return mk_app(Sum.of(fun), _plug_bag(arg, steps[1:], s), label)
-        case _:
-            raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
-
-
-def _plug_bag(bag: Bag, steps: tuple[PathStep, ...], s: Sum) -> Sum:
-    if not steps or not isinstance(steps[0], BagElem):
-        raise InvalidPath("path into a bag must address an element")
-    ident = steps[0].ident
-    picked = [r for r in bag.elements if r.ident == ident]
-    if not picked:
-        raise InvalidPath(f"no bag element with id {ident}")
-    r = picked[0]
-    rest = Sum.of(Bag(tuple(e for e in bag.elements if e.ident != ident)))
-    if len(steps) < 2 or not isinstance(steps[1], ResourceContent):
-        raise InvalidPath("path into an element must address its content")
-    content = _plug(r.content, steps[2:], s)
-    if isinstance(r, Linear):
-        return cons_linear(content, rest, r.ident)
-    return cons_reusable(content, rest, r.ident)
+    frames: list[tuple[App | Abs, Resource | None, tuple[Resource, ...]]] = []
+    node: Node = m
+    steps = path.steps
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        match (node, step):
+            case (Abs(_, body), AbsBody()):
+                frames.append((node, None, ()))
+                node, i = body, i + 1
+            case (App(fun, _, _), AppFun()):
+                frames.append((node, None, ()))
+                node, i = fun, i + 1
+            case (App(_, bag, _), AppArg()):
+                if i + 1 == len(steps) or not isinstance(steps[i + 1], BagElem):
+                    raise InvalidPath("path into a bag must address an element")
+                ident = steps[i + 1].ident
+                picked = [r for r in bag.elements if r.ident == ident]
+                if not picked:
+                    raise InvalidPath(f"no bag element with id {ident}")
+                if i + 2 == len(steps) or not isinstance(steps[i + 2], ResourceContent):
+                    raise InvalidPath("path into an element must address its content")
+                frames.append((node, picked[0], tuple(e for e in bag.elements if e.ident != ident)))
+                node, i = picked[0].content, i + 3
+            case _:
+                raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
+    pairs: list = list(s.addends)
+    for outer, r, rest in reversed(frames):
+        if isinstance(outer, Abs):
+            pairs = [(Abs(outer.binder, t), k) for t, k in pairs]
+        elif r is None:
+            pairs = [(App(t, outer.arg, outer.label), k) for t, k in pairs]
+        elif isinstance(r, Linear):
+            pairs = [(App(outer.fun, Bag((Linear(t, r.ident),) + rest), outer.label), k) for t, k in pairs]
+        else:
+            pairs = [(App(outer.fun, Bag(_reusables(pairs, r.ident) + rest), outer.label), 1)]
+    return Sum(tuple(pairs))
 
 
 def _redex_node(m: Term, path: Path) -> App:
@@ -472,9 +504,20 @@ def _fresh_redex(node: App) -> tuple[str, Term, Bag]:
 
 
 def giant_local(node: App) -> Sum:
-    """Whole-bag firing of one redex: bag substitution then zeroing."""
+    """Whole-bag firing of one redex.
+
+    The linear elements are fed first, one linear substitution each in
+    element_rank order; then one classical substitution gives every
+    remaining occurrence of the binder the sum of the ! contents, since
+    [N1+x/x]...[Nk+x/x][0/x] = [N1+...+Nk/x].  With no ! element that sum
+    is 0, the zeroing that ends the firing.
+    """
     binder, body, bag = _fresh_redex(node)
-    return classical_subst(bag_subst(body, binder, bag), binder, ZERO)
+    acc = Sum.of(body)
+    for r in sorted((r for r in bag.elements if isinstance(r, Linear)), key=element_rank):
+        acc = resource_subst(acc, binder, r)
+    bang = Sum(tuple((r.content, 1) for r in bag.elements if isinstance(r, Reusable)))
+    return classical_subst(acc, binder, bang)
 
 
 def baby_local(node: App) -> Sum:
@@ -502,18 +545,18 @@ def baby_expand(m: Term, r: Redex) -> Sum:
     zeroing is the same as feeding the whole bag.
     """
     binder, body, bag = _fresh_redex(_redex_node(m, r.path))
-    acc = ZERO
+    acc: list[tuple[Term, int]] = []
     work: list[tuple[Term, Bag, int]] = [(body, bag, 1)]
     while work:
         cur, remaining, mult = work.pop()
         if not remaining.elements:
-            acc = acc + classical_subst(cur, binder, ZERO).scaled(mult)
+            acc += [(t, k * mult) for t, k in classical_subst(cur, binder, ZERO)]
             continue
         least = min(remaining.elements, key=element_rank)
         rest = Bag(tuple(e for e in remaining.elements if e.ident != least.ident))
         for t, k in resource_subst(cur, binder, least):
             work.append((t, rest, mult * k))
-    return plug(m, r.path, acc)
+    return plug(m, r.path, Sum(tuple(acc)))
 
 
 def nd_reducts(m: Term, r: Redex) -> list[tuple[Term, Term]]:

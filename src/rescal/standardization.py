@@ -410,7 +410,9 @@ def _standardize_steps(initial: Term, steps: list[Step], depth: int) -> list[Ste
     outs, ins = _factor_search(initial, target, len(steps) + DEFAULT_SLACK)
     std_outer = _std_outer(initial, outs)
     mid = std_outer[-1].after if std_outer else initial
-    ins = _chain(mid, ins)
+    if ins and ins[0].before is not mid:
+        # Swaps in _std_outer end on an alpha-equal copy; move the chain onto it.
+        ins = _chain(mid, ins)
     groups: dict[tuple[PathStep, ...], list[Step]] = {}
     for s in ins:
         cut = _reusable_cut(s.before, s.redex.path)

@@ -10,15 +10,21 @@ substituted variable not to occur in the bag itself.
 
 Every operation returns a Sum and accepts a Sum subject, extending
 linearly (and, for linear substitution, bilinearly) over addends.
+Inside an operation the recursion passes plain lists of (expression,
+multiplicity) pairs, and one Sum is built at the public boundary.  The
+alternatives of a rebuilt bag are merged on the spot when there are
+several, since a bag is where repeated occurrences of the variable
+give alpha-equal alternatives.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .syntax import (
     Abs,
     App,
     Bag,
-    Expression,
     Linear,
     Node,
     Resource,
@@ -26,15 +32,12 @@ from .syntax import (
     Sum,
     Term,
     Var,
-    ZERO,
-    cons_linear,
-    cons_reusable,
     element_rank,
     free_vars,
     fresh_name,
-    mk_app,
-    sum_abs,
 )
+
+Pairs = list[tuple[Node, int]]
 
 
 class FreshnessViolation(ValueError):
@@ -48,36 +51,65 @@ def _rename_binder(binder: str, body: Term, clash: frozenset[str]) -> tuple[str,
     return new, new_body
 
 
+def _addends(a: Node) -> tuple[tuple[Node, int], ...]:
+    return a.addends if isinstance(a, Sum) else ((a, 1),)
+
+
+def _merged_bags(bags: list[tuple[tuple[Resource, ...], int]]) -> Pairs:
+    """The rebuilt bags, alpha-equal ones merged with the first kept."""
+    if len(bags) == 1:
+        return [(Bag(bags[0][0]), bags[0][1])]
+    merged: dict = {}
+    for elements, k in bags:
+        b = Bag(elements)
+        key = b.canon()
+        if key in merged:
+            merged[key][1] += k
+        else:
+            merged[key] = [b, k]
+    return [(b, k) for b, k in merged.values()]
+
+
+def _reusables(content: Pairs, ident: int) -> tuple[Resource, ...]:
+    """The elements a sum under ! collapses into: one per addend and
+    multiplicity, none for zero; a single addend keeps the element id."""
+    if len(content) == 1 and content[0][1] == 1:
+        return (Reusable(content[0][0], ident),)
+    return tuple(Reusable(t) for t, k in content for _ in range(k))
+
+
 def classical_subst(a: Node, x: str, n: Sum | Term) -> Sum:
     """Replace every free x in a with n, avoiding capture."""
     if isinstance(n, Term):
         n = Sum.of(n)
+    nfv = free_vars(n)
+    return Sum(tuple((t, k * j) for e, k in _addends(a) for t, j in _classical(e, x, n.addends, nfv)))
+
+
+def _classical(a: Node, x: str, n: Sequence[tuple[Node, int]], nfv: frozenset[str]) -> Pairs:
     match a:
-        case Sum(addends):
-            out = ZERO
-            for e, k in addends:
-                out = out + classical_subst(e, x, n).scaled(k)
-            return out
         case Var(name):
-            return n if name == x else Sum.of(a)
+            return n if name == x else [(a, 1)]
         case Abs(binder, body):
             if binder == x or x not in free_vars(body):
-                return Sum.of(a)
-            nfv = free_vars(n)
+                return [(a, 1)]
             if binder in nfv:
                 binder, body = _rename_binder(binder, body, nfv | {x})
-            return sum_abs(binder, classical_subst(body, x, n))
+            return [(Abs(binder, t), k) for t, k in _classical(body, x, n, nfv)]
         case App(fun, arg, label):
-            return mk_app(classical_subst(fun, x, n), classical_subst(arg, x, n), label)
+            funs = _classical(fun, x, n, nfv)
+            args = _classical(arg, x, n, nfv)
+            return [(App(f, b, label), i * j) for f, i in funs for b, j in args]
         case Bag(elements):
-            if not elements:
-                return Sum.of(a)
-            r, rest = elements[0], Bag(elements[1:])
-            content = classical_subst(r.content, x, n)
-            tail = classical_subst(rest, x, n)
-            if isinstance(r, Linear):
-                return cons_linear(content, tail, r.ident)
-            return cons_reusable(content, tail, r.ident)
+            bags: list[tuple[tuple[Resource, ...], int]] = [((), 1)]
+            for r in elements:
+                content = _classical(r.content, x, n, nfv)
+                if isinstance(r, Linear):
+                    bags = [(es + (Linear(t, r.ident),), i * j) for es, i in bags for t, j in content]
+                else:
+                    extra = _reusables(content, r.ident)
+                    bags = [(es + extra, i) for es, i in bags]
+            return _merged_bags(bags)
     raise TypeError(f"not a substitution subject: {a!r}")
 
 
@@ -88,42 +120,38 @@ def partial_subst(a: Node, x: str, n: Term) -> Sum:
 
 def linear_subst(a: Node, x: str, n: Sum | Term) -> Sum:
     """Replace exactly one free occurrence of x, one addend per choice."""
-    if isinstance(n, Sum):
-        out = ZERO
-        for t, k in n:
-            out = out + linear_subst(a, x, t).scaled(k)
-        return out
+    out: Pairs = []
+    for t, i in _addends(n):
+        nfv = free_vars(t)
+        out += [(u, i * j * k) for e, j in _addends(a) for u, k in _linear(e, x, t, nfv)]
+    return Sum(tuple(out))
+
+
+def _linear(a: Node, x: str, n: Term, nfv: frozenset[str]) -> Pairs:
     match a:
-        case Sum(addends):
-            out = ZERO
-            for e, k in addends:
-                out = out + linear_subst(e, x, n).scaled(k)
-            return out
         case Var(name):
-            return Sum.of(n) if name == x else ZERO
+            return [(n, 1)] if name == x else []
         case Abs(binder, body):
             if binder == x:
-                return ZERO
-            if binder in free_vars(n):
-                binder, body = _rename_binder(binder, body, free_vars(n) | {x})
-            return sum_abs(binder, linear_subst(body, x, n))
+                return []
+            if binder in nfv:
+                binder, body = _rename_binder(binder, body, nfv | {x})
+            return [(Abs(binder, t), k) for t, k in _linear(body, x, n, nfv)]
         case App(fun, arg, label):
-            return mk_app(linear_subst(fun, x, n), Sum.of(arg), label) + mk_app(
-                Sum.of(fun), linear_subst(arg, x, n), label
-            )
-        case Bag(()):
-            return ZERO
+            return [(App(f, arg, label), k) for f, k in _linear(fun, x, n, nfv)] + [
+                (App(fun, b, label), k) for b, k in _linear(arg, x, n, nfv)
+            ]
         case Bag(elements):
-            r, rest = elements[0], Bag(elements[1:])
-            in_rest = linear_subst(rest, x, n)
-            if isinstance(r, Linear):
-                return cons_linear(linear_subst(r.content, x, n), Sum.of(rest), r.ident) + cons_linear(
-                    Sum.of(r.content), in_rest, r.ident
-                )
-            # A reusable element donates one fresh linear copy and stays put.
-            return cons_linear(linear_subst(r.content, x, n), Sum.of(a)) + cons_reusable(
-                Sum.of(r.content), in_rest, r.ident
-            )
+            bags: list[tuple[tuple[Resource, ...], int]] = []
+            for i, r in enumerate(elements):
+                before, after = elements[:i], elements[i + 1 :]
+                for t, k in _linear(r.content, x, n, nfv):
+                    if isinstance(r, Linear):
+                        bags.append((before + (Linear(t, r.ident),) + after, k))
+                    else:
+                        # A reusable element donates one fresh linear copy and stays put.
+                        bags.append((before + (Linear(t), r) + after, k))
+            return _merged_bags(bags)
     raise TypeError(f"not a substitution subject: {a!r}")
 
 

@@ -126,6 +126,15 @@ class Sum(Node):
     addends: tuple[tuple[Expression, int], ...] = ()
 
     def __post_init__(self):
+        if len(self.addends) == 1:
+            # One addend: nothing to merge or sort.
+            ((expr, mult),) = self.addends
+            if isinstance(expr, Sum):
+                raise TypeError("sum addends must be terms or bags, not sums")
+            if mult < 0:
+                raise ValueError("negative multiplicity")
+            object.__setattr__(self, "addends", ((expr, mult),) if mult else ())
+            return
         merged: dict = {}
         kinds = set()
         for expr, mult in self.addends:

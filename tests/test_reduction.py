@@ -41,6 +41,7 @@ from rescal import (
     plug,
     precedes,
     print_expr,
+    redex_at,
     residuals,
     resolve,
     resolve_path,
@@ -115,6 +116,23 @@ def test_is_onf_on_deep_terms_needs_no_recursion():
     assert is_onf(lambdas) is True
     assert is_onf(bags) is True
     assert is_onf(redex_at_bottom) is False
+
+
+def test_leftmost_on_deep_terms_needs_no_recursion():
+    def nest(depth, inner, wrap):
+        for _ in range(depth):
+            inner = wrap(inner)
+        return inner
+
+    in_bag = lambda t: App(Var("y"), Bag((Linear(t),)))  # noqa: E731
+    bags = nest(10_000, Var("y"), in_bag)
+    assert leftmost_set(bags) == set()
+    for wrap, steps_per_level in ((in_bag, 3), (lambda t: Abs("x", t), 1)):
+        m = nest(10_000, App(Abs("x", Var("x")), Bag()), wrap)
+        (r,) = leftmost_set(m)
+        assert len(r.path.steps) == 10_000 * steps_per_level
+        assert resolve(m, r.path) == App(Abs("x", Var("x")), Bag())
+        assert redex_at(m, r.path) == r
 
 
 # ------------------------------------------------------------- the order
