@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -58,10 +59,14 @@ def _read_source(args) -> str:
         sys.exit(EXIT_PARSE)
     if args.term is not None:
         return args.term
-    if args.file is not None:
-        with open(args.file, encoding="utf-8") as f:
-            return f.read()
-    return sys.stdin.read()
+    try:
+        if args.file is not None:
+            with open(args.file, encoding="utf-8") as f:
+                return f.read()
+        return sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"cannot read input: {e}", file=sys.stderr)
+        sys.exit(EXIT_PARSE)
 
 
 def _parse_term_or_exit(text: str):
@@ -376,8 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "budget", 1) < 1 or getattr(args, "steps", 1) < 1:
         print("the budget must be at least 1", file=sys.stderr)
         return EXIT_PARSE

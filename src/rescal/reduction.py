@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Union
 
 from .substitution import _reusables, classical_subst, resource_subst
@@ -99,8 +100,14 @@ class Step:
     redex: Redex
     mode: str  # "baby" | "giant" | "nd"
     after: Union[Sum, Term]
-    chosen: str | None = None  # printed local addend, nd mode only
     local: Term | None = None  # the chosen local reduct, nd mode only
+
+    @cached_property
+    def chosen(self) -> str | None:
+        """The printed local addend, nd mode only."""
+        from .parser import print_expr
+
+        return None if self.local is None else print_expr(self.local)
 
 
 @dataclass(frozen=True)
@@ -589,16 +596,9 @@ def make_baby_step(m: Term, r: Redex) -> Step:
 
 
 def make_nd_step(m: Term, r: Redex, local: Term, whole: Term) -> Step:
-    from .parser import print_expr
-
-    return Step(
-        m,
-        replace(redex_at(m, r.path), rule="Giant"),
-        "nd",
-        whole,
-        chosen=print_expr(local),
-        local=local,
-    )
+    """The nd step firing r, a redex of m as find_redexes, _least_leftmost
+    or redex_at give it, to the local addend local."""
+    return Step(m, replace(r, rule="Giant"), "nd", whole, local=local)
 
 
 def fire_nd(m: Term, path: Path, chosen=None) -> Step:

@@ -14,7 +14,8 @@ from rescal import (
     parse_term,
     trace_records,
 )
-from rescal.cli import main
+from rescal import cli
+from rescal.cli import build_parser, main
 from rescal.syntax import canon_at
 
 I = r"\w.w"
@@ -23,9 +24,9 @@ M1 = rf"({I})[!({N})]"
 OMEGA = r"(\x.x[!x])[!(\x.x[!x])]"
 
 
-def run(capsys, argv):
+def run(capsys, argv, entry=main):
     try:
-        code = main(argv)
+        code = entry(argv)
     except SystemExit as e:
         code = e.code
     cap = capsys.readouterr()
@@ -128,6 +129,13 @@ def test_input_from_file(capsys, tmp_path):
     src.write_text("x[y]\n", encoding="utf-8")
     code, out, _ = run(capsys, ["reduce", "--file", str(src)])
     assert code == 0 and "final: x[y]" in out
+
+
+def test_unreadable_file_exits_with_parse_code(capsys, tmp_path):
+    for path in (tmp_path / "absent.txt", tmp_path):
+        code, out, err = run(capsys, ["reduce", "--file", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith("cannot read input: ") and err.count("\n") == 1
 
 
 def test_multiple_input_sources_rejected(capsys, tmp_path):
@@ -343,3 +351,73 @@ def test_structured_record_keys_match_the_readme(capsys, tmp_path):
     assert set(rec["witness"]) == tree_keys
     _, out, _ = run(capsys, ["solvable", "--format", "structured", "--budget", "200", OMEGA])
     assert set(json.loads(out)) == {"status", "explored", "exhaustive"}
+
+
+# --------------------------------------------------------------- exit codes
+
+
+EXIT_CODES = [
+    ("ok", ["reduce", "--mode", "giant", r"(\x.x[x])[a,b]"], 0),
+    ("reduction to zero", ["reduce", r"(\x.x)1"], 1),
+    ("machine undefined", ["machine", r"(\z.\y.y)[x]"], 1),
+    ("not solvable", ["solvable", r"(\z.\y.y)[x]"], 1),
+    ("step budget", ["reduce", "--steps", "3", OMEGA], 2),
+    ("machine budget", ["machine", "--budget", "50", OMEGA], 2),
+    ("search bound", ["standardize", "x", "y", "--bound", "3"], 2),
+    ("malformed term", ["reduce", "((("], 3),
+    ("usage error", ["frobnicate", "x"], 3),
+    ("missing --file", ["reduce", "--file", "{missing}"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in EXIT_CODES], ids=[case[0] for case in EXIT_CODES])
+def test_exit_code_meanings(capsys, tmp_path, argv, code):
+    argv = [a.replace("{missing}", str(tmp_path / "absent.txt")) for a in argv]
+    assert run(capsys, argv)[0] == code
+
+
+# ------------------------------------------------------ repeated main calls
+
+
+def test_repeated_in_process_calls_are_independent(capsys, monkeypatch, tmp_path):
+    """main builds its parser once per process; each later call must print
+    and exit exactly as a call with a parser of its own."""
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text("\n".join(json.dumps(rec) for rec in trace_records(nonstandard_trace())) + "\n", encoding="utf-8")
+    sequence = [
+        ["reduce", "--pick", "all", rf"(\x.y[x][x])[\x.\y.y, {I}]"],
+        ["frobnicate", "x"],
+        ["reduce", "--steps", "3", OMEGA],
+        ["reduce", "--mode", "baby", "--steps", "oops", "x"],
+        ["reduce", "--format", "structured", "--mode", "giant", r"(\x.x[x])[a,b]"],
+        ["--help"],
+        ["standardize", M1, I],
+        ["standardize", "--trace-file", str(trace), "--check", "--format", "structured"],
+        ["machine", "--tree", "--policy", "enumerate-all", rf"(\x.y[x][x])[\x.\y.y, {I}]"],
+        ["machine", "--policy", "sideways", "x"],
+        ["machine", "--format", "structured", rf"({I})[z]"],
+        ["solvable", "--tree", I],
+        ["solvable", "--format", "structured", "--budget", "200", OMEGA],
+        ["translate", r"(\x.x x) y"],
+        ["reduce", "--help"],
+        ["reduce", "--file", str(tmp_path / "absent.txt")],
+        ["translate", "--format", "structured", "x"],
+    ]
+
+    def fresh(argv):
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+
+    want = [run(capsys, argv, entry=fresh) for argv in sequence]
+    built = []
+
+    def counted_build():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    got = [run(capsys, argv) for argv in sequence]
+    assert got == want
+    assert {code for code, _, _ in got} == {0, 1, 2, 3}
+    assert len(built) == 1
