@@ -20,7 +20,6 @@ from .syntax import (
     Linear,
     Node,
     Reusable,
-    Sum,
     Term,
     Var,
     ZERO,
@@ -32,13 +31,14 @@ from .reduction import (
     AppArg,
     AppFun,
     BagElem,
-    InvalidTrace,
     Path,
     PathStep,
     ResourceContent,
     Step,
     Trace,
     _fresh_redex,
+    _frames,
+    _rebuild,
     erase_labels,
     is_onf,
     nd_reducts,
@@ -407,6 +407,25 @@ def _to_outcomes(raw: list[tuple]) -> tuple[MachineOutcome, ...]:
     return tuple(out)
 
 
+def _run(subject: Node, policy: str, budget: int, seed: int, branch_elements: bool, once, explore):
+    """One machine run on subject: once runs it under a policy, explore
+    (an _Explorer method) enumerates every run."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    subject = erase_labels(subject)
+    if policy == "enumerate-all":
+        raw, _ = explore(_Explorer(_Budget(budget), branch_elements), subject)
+        return _to_outcomes(raw)
+    rng = random.Random(seed)
+    try:
+        tree = once(subject, policy, rng, _Budget(budget))
+        return Converged(tree.output, tree)
+    except _Undef as u:
+        return Undefined(u.stuck)
+    except _Out:
+        return BudgetExhausted()
+
+
 def machine_step_run(
     m: Term,
     policy: str = "canonical-first",
@@ -421,21 +440,7 @@ def machine_step_run(
     and canonically ordered, with BudgetExhausted appended when some
     branch did not finish (including provably cyclic ones).
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    m = erase_labels(m)
-    if policy == "enumerate-all":
-        ex = _Explorer(_Budget(budget), branch_elements)
-        raw, _ = ex.nd(m)
-        return _to_outcomes(raw)
-    rng = random.Random(seed)
-    try:
-        tree = _nd_once(m, policy, rng, _Budget(budget))
-        return Converged(tree.output, tree)
-    except _Undef as u:
-        return Undefined(u.stuck)
-    except _Out:
-        return BudgetExhausted()
+    return _run(m, policy, budget, seed, branch_elements, _nd_once, _Explorer.nd)
 
 
 def b_machine_run(
@@ -446,21 +451,7 @@ def b_machine_run(
     branch_elements: bool = True,
 ):
     """Run the bag machine; outcomes mirror machine_step_run."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    p = erase_labels(p)
-    if policy == "enumerate-all":
-        ex = _Explorer(_Budget(budget), branch_elements)
-        raw, _ = ex.bag(p)
-        return _to_outcomes(raw)
-    rng = random.Random(seed)
-    try:
-        tree = _b_once(p, policy, rng, _Budget(budget))
-        return Converged(tree.output, tree)
-    except _Undef as u:
-        return Undefined(u.stuck)
-    except _Out:
-        return BudgetExhausted()
+    return _run(p, policy, budget, seed, branch_elements, _b_once, _Explorer.bag)
 
 
 def may_solvable(m: Term, budget: int = DEFAULT_BUDGET):
@@ -485,28 +476,6 @@ def may_solvable(m: Term, budget: int = DEFAULT_BUDGET):
 # ------------------------------------------------------- trace rebuilding
 
 
-def _replace_at(m: Term, prefix: tuple[PathStep, ...], sub: Term) -> Term:
-    if not prefix:
-        return sub
-    step = prefix[0]
-    match (m, step):
-        case (Abs(), AbsBody()):
-            return replace(m, body=_replace_at(m.body, prefix[1:], sub))
-        case (App(), AppFun()):
-            return replace(m, fun=_replace_at(m.fun, prefix[1:], sub))
-        case (App(), AppArg()):
-            return replace(m, arg=_replace_at(m.arg, prefix[1:], sub))
-        case (Bag(), BagElem(ident)):
-            elems = tuple(
-                replace(r, content=_replace_at(r.content, prefix[2:], sub)) if r.ident == ident else r
-                for r in m.elements
-            )
-            return Bag(elems)
-        case (Linear() | Reusable(), ResourceContent()):
-            return replace(m, content=_replace_at(m.content, prefix[1:], sub))
-    raise MalformedTree(f"step {step!r} does not match {type(m).__name__}")
-
-
 class _Rebuilder:
     def __init__(self, initial: Term):
         self.cur = initial
@@ -514,10 +483,10 @@ class _Rebuilder:
 
     def fire(self, prefix: tuple[PathStep, ...], expected_sub: Term):
         """One fused machine redex firing becomes one nd step."""
-        subject = resolve(self.cur, Path(prefix))
+        frames, subject = _frames(self.cur, prefix)
         _, apps = _spine(subject)
         redex_path = Path(prefix + (AppFun(),) * (len(apps) - 1))
-        expected = _replace_at(self.cur, prefix, expected_sub)
+        expected = _rebuild(frames, expected_sub)
         r = redex_at(self.cur, redex_path)
         for local, whole in nd_reducts(self.cur, r):
             if whole == expected:

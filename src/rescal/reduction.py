@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Union
 
-from .substitution import _reusables, classical_subst, resource_subst
+from .substitution import _rename_binder, _reusables, classical_subst, resource_subst
 from .syntax import (
     Abs,
     App,
@@ -31,7 +31,6 @@ from .syntax import (
     canon_at,
     element_rank,
     free_vars,
-    fresh_name,
     label_free_key,
     mk_app,
     sum_abs,
@@ -76,6 +75,10 @@ class ResourceContent:
 
 
 PathStep = Union[AbsBody, AppFun, AppArg, BagElem, ResourceContent]
+
+_BODY, _FUN, _ARG, _CONTENT = AbsBody(), AppFun(), AppArg(), ResourceContent()
+_TAG_STEPS = {"body": _BODY, "fun": _FUN, "arg": _ARG, "content": _CONTENT}
+_STEP_TAGS = {type(step): tag for tag, step in _TAG_STEPS.items()}
 
 
 @dataclass(frozen=True)
@@ -122,20 +125,20 @@ class Trace:
 
 def _descend(node: Node, step: PathStep) -> Node:
     """The child of node that one path step addresses."""
-    match (node, step):
-        case (Abs(_, body), AbsBody()):
-            return body
-        case (App(fun, _, _), AppFun()):
-            return fun
-        case (App(_, arg, _), AppArg()):
-            return arg
-        case (Bag(elements), BagElem(ident)):
-            found = [r for r in elements if r.ident == ident]
-            if not found:
-                raise InvalidPath(f"no bag element with id {ident}")
-            return found[0]
-        case (Linear(content) | Reusable(content), ResourceContent()):
-            return content
+    match step:
+        case AbsBody() if isinstance(node, Abs):
+            return node.body
+        case AppFun() if isinstance(node, App):
+            return node.fun
+        case AppArg() if isinstance(node, App):
+            return node.arg
+        case BagElem(ident) if isinstance(node, Bag):
+            for r in node.elements:
+                if r.ident == ident:
+                    return r
+            raise InvalidPath(f"no bag element with id {ident}")
+        case ResourceContent() if isinstance(node, (Linear, Reusable)):
+            return node.content
     raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
 
 
@@ -147,15 +150,40 @@ def resolve(m: Node, path: Path) -> Node:
     return node
 
 
+def _frames(m: Node, steps: Iterable[PathStep]) -> tuple[list[tuple[Node, PathStep]], Node]:
+    """The (parent, step) pairs of a path, root first, and the node it
+    reaches.  Walks down with _descend and raises its InvalidPath."""
+    frames: list[tuple[Node, PathStep]] = []
+    node = m
+    for step in steps:
+        frames.append((node, step))
+        node = _descend(node, step)
+    return frames, node
+
+
+def _rebuild(frames: list[tuple[Node, PathStep]], node: Node) -> Node:
+    """Put node where the path of frames ends.  Every subterm off the
+    path is shared, and each bag element keeps its id and its place."""
+    for parent, step in reversed(frames):
+        match step:
+            case AbsBody():
+                node = Abs(parent.binder, node)
+            case AppFun():
+                node = App(node, parent.arg, parent.label)
+            case AppArg():
+                node = App(parent.fun, node, parent.label)
+            case BagElem(ident):
+                node = Bag(tuple(node if r.ident == ident else r for r in parent.elements))
+            case ResourceContent():
+                node = type(parent)(node, parent.ident)
+    return node
+
+
 def _reusable_cut(m: Node, path: Path) -> int | None:
     """Length of the shortest prefix of the path that enters the content
     of a reusable element, or None when the path enters none."""
-    node = m
-    for i, step in enumerate(path.steps):
-        if isinstance(node, Reusable) and isinstance(step, ResourceContent):
-            return i + 1
-        node = _descend(node, step)
-    return None
+    frames, _ = _frames(m, path.steps)
+    return next((i + 1 for i, (parent, _) in enumerate(frames) if isinstance(parent, Reusable)), None)
 
 
 def linear_position(m: Node, path: Path) -> bool:
@@ -163,42 +191,30 @@ def linear_position(m: Node, path: Path) -> bool:
     return _reusable_cut(m, path) is None
 
 
-def _ranked_elements(bag: Bag, levels: dict[str, int], depth: int) -> list[Resource]:
-    keyed = [(canon_at(r, levels, depth, ignore_labels=True), i, r) for i, r in enumerate(bag.elements)]
+def _ranked_elements(bag: Bag, binders: list[str]) -> tuple[Resource, ...] | list[Resource]:
+    """A bag's elements in rank order under the binders in scope, inner
+    last; a bag of fewer than two elements is not ranked."""
+    if len(bag.elements) < 2:
+        return bag.elements
+    levels = {b: i for i, b in enumerate(binders)}
+    keyed = [(canon_at(r, levels, len(binders), ignore_labels=True), i, r) for i, r in enumerate(bag.elements)]
     return [r for _, _, r in sorted(keyed, key=lambda t: (t[0], t[1]))]
 
 
 def serialize_path(m: Node, path: Path) -> tuple:
     """Id-free form of a path: bag elements become canonical ranks."""
+    frames, _ = _frames(m, path.steps)
     out: list = []
-    node = m
-    levels: dict[str, int] = {}
-    depth = 0
-    for step in path.steps:
-        match (node, step):
-            case (Abs(binder, body), AbsBody()):
+    binders: list[str] = []
+    for parent, step in frames:
+        match step:
+            case BagElem(ident):
+                out.append(("elem", [r.ident for r in _ranked_elements(parent, binders)].index(ident)))
+            case AbsBody():
+                binders.append(parent.binder)
                 out.append("body")
-                levels = {**levels, binder: depth}
-                depth += 1
-                node = body
-            case (App(fun, _, _), AppFun()):
-                out.append("fun")
-                node = fun
-            case (App(_, arg, _), AppArg()):
-                out.append("arg")
-                node = arg
-            case (Bag(), BagElem(ident)):
-                ranked = _ranked_elements(node, levels, depth)
-                idx = [i for i, r in enumerate(ranked) if r.ident == ident]
-                if not idx:
-                    raise InvalidPath(f"no bag element with id {ident}")
-                out.append(("elem", idx[0]))
-                node = ranked[idx[0]]
-            case (Linear(content) | Reusable(content), ResourceContent()):
-                out.append("content")
-                node = content
             case _:
-                raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
+                out.append(_STEP_TAGS[type(step)])
     return tuple(out)
 
 
@@ -206,40 +222,28 @@ def resolve_path(m: Node, spath: Iterable) -> Path:
     """Turn an id-free path back into an addressed path on m."""
     steps: list[PathStep] = []
     node = m
-    levels: dict[str, int] = {}
-    depth = 0
+    binders: list[str] = []
     for tag in spath:
         if isinstance(tag, dict):
             tag = ("elem", tag["elem"])
         match (node, tag):
-            case (Abs(binder, body), "body"):
-                steps.append(AbsBody())
-                levels = {**levels, binder: depth}
-                depth += 1
-                node = body
-            case (App(fun, _, _), "fun"):
-                steps.append(AppFun())
-                node = fun
-            case (App(_, arg, _), "arg"):
-                steps.append(AppArg())
-                node = arg
             case (Bag(), ("elem", rank)):
-                ranked = _ranked_elements(node, levels, depth)
+                ranked = _ranked_elements(node, binders)
                 if not 0 <= rank < len(ranked):
                     raise InvalidPath(f"bag rank {rank} out of range")
-                node = ranked[rank]
-                steps.append(BagElem(node.ident))
-            case (Bag(), ("elemid", ident)):
-                found = [r for r in node.elements if r.ident == ident]
-                if not found:
-                    raise InvalidPath(f"no bag element with id {ident}")
-                node = found[0]
-                steps.append(BagElem(ident))
-            case (Linear(content) | Reusable(content), "content"):
-                steps.append(ResourceContent())
-                node = content
+                step = BagElem(ranked[rank].ident)
+            case (_, str()) if tag in _TAG_STEPS:
+                step = _TAG_STEPS[tag]
             case _:
                 raise InvalidPath(f"tag {tag!r} does not match {type(node).__name__}")
+        try:
+            child = _descend(node, step)
+        except InvalidPath:
+            raise InvalidPath(f"tag {tag!r} does not match {type(node).__name__}") from None
+        if isinstance(node, Abs):
+            binders.append(node.binder)
+        steps.append(step)
+        node = child
     return Path(tuple(steps))
 
 
@@ -257,9 +261,6 @@ def path_key(m: Node, path: Path) -> tuple:
 def transport_path(src: Node, path: Path, dst: Node) -> Path:
     """Carry a path between alpha-equivalent expressions by rank."""
     return resolve_path(dst, serialize_path(src, path))
-
-
-_BODY, _FUN, _ARG, _CONTENT = AbsBody(), AppFun(), AppArg(), ResourceContent()
 
 
 def _leftmost(m: Term) -> list[tuple[tuple[PathStep, ...], App]]:
@@ -442,48 +443,32 @@ def plug(m: Term, path: Path, s: Sum) -> Sum:
     element distributes likewise, while a reusable element collapses the
     sum into sibling elements of a single bag.  Untouched subterms are
     shared, so element ids away from the path are stable; a reusable
-    element filled with a one-addend sum keeps its id too.  The path is
-    walked down once and the addends rebuilt up it as plain pairs, with
-    one Sum built at the end.
+    element filled with a one-addend sum keeps its id too.  The filled
+    element comes first in its bag.  The addends are rebuilt up the path
+    as plain pairs, the elements of a bag as tuples, with one Sum built at
+    the end.
     """
-    if not path.steps:
+    frames, node = _frames(m, path.steps)
+    if not isinstance(node, Term):
+        raise InvalidPath("path into a bag must address an element's content")
+    if not frames:
         return s
-    frames: list[tuple[App | Abs, Resource | None, tuple[Resource, ...]]] = []
-    node: Node = m
-    steps = path.steps
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        match (node, step):
-            case (Abs(_, body), AbsBody()):
-                frames.append((node, None, ()))
-                node, i = body, i + 1
-            case (App(fun, _, _), AppFun()):
-                frames.append((node, None, ()))
-                node, i = fun, i + 1
-            case (App(_, bag, _), AppArg()):
-                if i + 1 == len(steps) or not isinstance(steps[i + 1], BagElem):
-                    raise InvalidPath("path into a bag must address an element")
-                ident = steps[i + 1].ident
-                picked = [r for r in bag.elements if r.ident == ident]
-                if not picked:
-                    raise InvalidPath(f"no bag element with id {ident}")
-                if i + 2 == len(steps) or not isinstance(steps[i + 2], ResourceContent):
-                    raise InvalidPath("path into an element must address its content")
-                frames.append((node, picked[0], tuple(e for e in bag.elements if e.ident != ident)))
-                node, i = picked[0].content, i + 3
-            case _:
-                raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
     pairs: list = list(s.addends)
-    for outer, r, rest in reversed(frames):
-        if isinstance(outer, Abs):
-            pairs = [(Abs(outer.binder, t), k) for t, k in pairs]
-        elif r is None:
-            pairs = [(App(t, outer.arg, outer.label), k) for t, k in pairs]
-        elif isinstance(r, Linear):
-            pairs = [(App(outer.fun, Bag((Linear(t, r.ident),) + rest), outer.label), k) for t, k in pairs]
-        else:
-            pairs = [(App(outer.fun, Bag(_reusables(pairs, r.ident) + rest), outer.label), 1)]
+    for parent, step in reversed(frames):
+        match step:
+            case AbsBody():
+                pairs = [(Abs(parent.binder, t), k) for t, k in pairs]
+            case AppFun():
+                pairs = [(App(t, parent.arg, parent.label), k) for t, k in pairs]
+            case AppArg():
+                pairs = [(App(parent.fun, b, parent.label), k) for b, k in pairs]
+            case BagElem(ident):
+                rest = tuple(e for e in parent.elements if e.ident != ident)
+                pairs = [(Bag(es + rest), k) for es, k in pairs]
+            case ResourceContent() if isinstance(parent, Linear):
+                pairs = [((Linear(t, parent.ident),), k) for t, k in pairs]
+            case ResourceContent():
+                pairs = [(_reusables(pairs, parent.ident), 1)]
     return Sum(tuple(pairs))
 
 
@@ -504,9 +489,7 @@ def _fresh_redex(node: App) -> tuple[str, Term, Bag]:
     to receive the bag's contents."""
     binder, body, bag = node.fun.binder, node.fun.body, node.arg
     if binder in free_vars(bag):
-        new = fresh_name(binder, free_vars(bag) | free_vars(body))
-        body = classical_subst(body, binder, Sum.of(Var(new))).sole()
-        binder = new
+        binder, body = _rename_binder(binder, body, free_vars(bag))
     return binder, body, bag
 
 
@@ -588,11 +571,15 @@ def nd_step(m: Term, r: Redex) -> set[Term]:
 
 
 def make_giant_step(m: Term, r: Redex) -> Step:
-    return Step(m, replace(redex_at(m, r.path), rule="Giant"), "giant", giant_step(m, r))
+    """The giant step firing r, a redex of m as find_redexes or
+    _least_leftmost give it."""
+    return Step(m, replace(r, rule="Giant"), "giant", giant_step(m, r))
 
 
 def make_baby_step(m: Term, r: Redex) -> Step:
-    return Step(m, redex_at(m, r.path), "baby", baby_step(m, r))
+    """The baby step firing r, a redex of m as find_redexes or
+    _least_leftmost give it."""
+    return Step(m, r, "baby", baby_step(m, r))
 
 
 def make_nd_step(m: Term, r: Redex, local: Term, whole: Term) -> Step:
@@ -627,36 +614,9 @@ def _label_in_order(m: Term, paths: Iterable[Path]) -> Term:
     """Attach labels 1..n to the redexes at paths already in path order."""
     out = m
     for i, p in enumerate(paths, 1):
-        _redex_node(out, p)
-        out = _relabel(out, p.steps, i)
+        node = _redex_node(out, p)
+        out = _rebuild(_frames(out, p.steps)[0], replace(node, label=i))
     return out
-
-
-def _relabel(node: Node, steps: tuple[PathStep, ...], lab: int | None) -> Node:
-    if not steps:
-        if not isinstance(node, App):
-            raise InvalidRedex("only applications carry labels")
-        return replace(node, label=lab)
-    step = steps[0]
-    match (node, step):
-        case (Abs(), AbsBody()):
-            return replace(node, body=_relabel(node.body, steps[1:], lab))
-        case (App(), AppFun()):
-            return replace(node, fun=_relabel(node.fun, steps[1:], lab))
-        case (App(), AppArg()):
-            return replace(node, arg=_relabel(node.arg, steps[1:], lab))
-        case (Bag(), BagElem(ident)):
-            elems = tuple(
-                replace(r, content=_relabel(r.content, steps[2:], lab)) if r.ident == ident else r
-                for r in node.elements
-            )
-            if all(r.ident != ident for r in node.elements):
-                raise InvalidPath(f"no bag element with id {ident}")
-            if len(steps) < 2 or not isinstance(steps[1], ResourceContent):
-                raise InvalidPath("path into an element must address its content")
-            return Bag(elems)
-        case _:
-            raise InvalidPath(f"step {step!r} does not match {type(node).__name__}")
 
 
 def labels_in(m: Node) -> dict[int, set[Path]]:

@@ -94,20 +94,33 @@ class OuterShape:
     holes: tuple[HoleSite, ...]
 
 
-def _refire(cur: Term, old: Step) -> Step:
-    """Fire old's move on an alpha-equivalent term."""
-    path = transport_path(old.before, old.redex.path, cur)
-    return fire_nd(cur, path, label_free_key(old.local))
+def _replay(cur: Term, at: tuple[PathStep, ...], step: Step, depth: int) -> Step:
+    """Fire step's move in cur at another position: the part of step's
+    redex path below its first depth steps is carried, by rank, below
+    the position at, and the same local addend is chosen."""
+    steps = step.redex.path.steps
+    rel = serialize_path(resolve(step.before, Path(steps[:depth])), Path(steps[depth:]))
+    path = resolve_path(resolve(cur, Path(at)), rel)
+    return fire_nd(cur, Path(at + path.steps), label_free_key(step.local))
+
+
+def _replayed(cur: Term, at: tuple[PathStep, ...], steps: list[Step], depth: int) -> list[Step]:
+    """Replay a chain of steps from cur with _replay, threading terms."""
+    out: list[Step] = []
+    for s in steps:
+        out.append(_replay(cur, at, s, depth))
+        cur = out[-1].after
+    return out
 
 
 def _chain(initial: Term, steps) -> list[Step]:
-    """Refire a sequence of steps from initial, threading terms exactly."""
+    """Replay a sequence of steps from initial, threading terms exactly."""
     out: list[Step] = []
     cur = initial
     for s in steps:
         if cur != s.before:
             raise InvalidTrace("steps do not chain: a source differs from the previous result")
-        step = _refire(cur, s)
+        step = _replay(cur, (), s, 0)
         if step.after != s.after:
             raise InvalidTrace("step does not replay: recorded result is not a reduct")
         out.append(step)
@@ -295,70 +308,29 @@ def _leftmost_first_swap(a: Term, target: Term) -> list[Step]:
     )
 
 
-def _project(sub0: Term, group: list[Step], depth: int) -> list[Step]:
-    """Restrict steps below a common position to the subterm itself."""
-    out: list[Step] = []
-    cur = sub0
-    for s in group:
-        src = resolve(s.before, Path(s.redex.path.steps[:depth]))
-        rel = serialize_path(src, Path(s.redex.path.steps[depth:]))
-        step = fire_nd(cur, resolve_path(cur, rel), label_free_key(s.local))
-        out.append(step)
-        cur = step.after
-    return out
-
-
-def _emit(cur: Term, anchor: tuple[PathStep, ...], sub_steps: list[Step]):
-    """Lift subterm steps back to the whole term at a stable position."""
-    out: list[Step] = []
-    for ss in sub_steps:
-        sub = resolve(cur, Path(anchor))
-        rel = transport_path(ss.before, ss.redex.path, sub)
-        step = fire_nd(cur, Path(anchor + rel.steps), label_free_key(ss.local))
-        out.append(step)
-        cur = step.after
-    return cur, out
-
-
 def _group_sort_key(initial: Term, anchor: tuple[PathStep, ...]) -> tuple:
     return (label_free_key(resolve(initial, Path(anchor))), anchor[-2].ident if len(anchor) >= 2 else 0)
 
 
 def _std_pure(initial: Term, steps: list[Step]) -> list[Step]:
     """Standardize a chain with no leftmost step by splitting it at the
-    root constructor and recursing into disjoint regions."""
+    root constructor and recursing into disjoint regions: the body of an
+    abstraction, or the function of an application and then each of its
+    bag elements in canonical order."""
     if not steps:
         return []
     if any(not s.redex.path.steps for s in steps):
         raise InvalidTrace("a root step is leftmost; pure split does not apply")
-    match initial:
-        case Abs():
-            anchor = (AbsBody(),)
-            rec = _std_outer(initial.body, _project(initial.body, steps, 1))
-            _, out = _emit(initial, anchor, rec)
-            return out
-        case App():
-            fun_steps = [s for s in steps if isinstance(s.redex.path.steps[0], AppFun)]
-            arg_steps = [s for s in steps if isinstance(s.redex.path.steps[0], AppArg)]
-            if len(fun_steps) + len(arg_steps) != len(steps):
-                raise InvalidTrace("step path does not start inside the application")
-            out: list[Step] = []
-            cur = initial
-            if fun_steps:
-                rec = _std_outer(initial.fun, _project(initial.fun, fun_steps, 1))
-                cur, emitted = _emit(cur, (AppFun(),), rec)
-                out += emitted
-            groups: dict[tuple[PathStep, ...], list[Step]] = {}
-            for s in arg_steps:
-                anchor = s.redex.path.steps[:3]
-                groups.setdefault(anchor, []).append(s)
-            for anchor in sorted(groups, key=lambda a: _group_sort_key(initial, a)):
-                sub0 = resolve(initial, Path(anchor))
-                rec = _std_outer(sub0, _project(sub0, groups[anchor], len(anchor)))
-                cur, emitted = _emit(cur, anchor, rec)
-                out += emitted
-            return out
-    raise InvalidTrace(f"cannot split a chain at {type(initial).__name__}")
+    groups: dict[tuple[PathStep, ...], list[Step]] = {}
+    for s in steps:
+        p = s.redex.path.steps
+        groups.setdefault(p[:3] if isinstance(p[0], AppArg) else p[:1], []).append(s)
+    out: list[Step] = []
+    for anchor in sorted(groups, key=lambda a: (len(a), _group_sort_key(initial, a))):
+        sub0 = resolve(initial, Path(anchor))
+        rec = _std_outer(sub0, _replayed(sub0, (), groups[anchor], len(anchor)))
+        out += _replayed(out[-1].after if out else initial, anchor, rec, 0)
+    return out
 
 
 def _std_outer(initial: Term, steps: list[Step]) -> list[Step]:
@@ -422,13 +394,10 @@ def _standardize_steps(initial: Term, steps: list[Step], depth: int) -> list[Ste
     shape = outer_shape(mid)
     site_order = {site.path.steps: site.index for site in shape.holes}
     out = list(std_outer)
-    cur = mid
     for prefix in sorted(groups, key=lambda p: site_order[p]):
         sub0 = resolve(mid, Path(prefix))
-        sub_steps = _project(sub0, groups[prefix], len(prefix))
-        rec = _standardize_steps(sub0, sub_steps, depth + 1)
-        cur, emitted = _emit(cur, prefix, rec)
-        out += emitted
+        rec = _standardize_steps(sub0, _replayed(sub0, (), groups[prefix], len(prefix)), depth + 1)
+        out += _replayed(out[-1].after if out else mid, prefix, rec, 0)
     return out
 
 

@@ -1,11 +1,13 @@
-"""Frozen oracle: make_nd_step as it was when it rebuilt the step's redex
-with redex_at and printed the chosen local addend eagerly.
+"""Frozen oracle: make_nd_step, make_giant_step and make_baby_step as they
+were when they rebuilt the step's redex with redex_at, and make_nd_step
+as it was when it printed the chosen local addend eagerly.
 
-The library now takes the caller's Redex as it is (with rule "Giant") and
-prints the addend only when Step.chosen is read.  This copy returns the
-old step's fields as a named tuple, so test_nd_step.py compares the
-library against a fixed reference rather than against itself.  Do not
-edit it to follow the library.
+The library now takes the caller's Redex as it is (with rule "Giant" for
+nd and giant steps) and prints the addend only when Step.chosen is read.
+These copies return the old step's fields as named tuples, so
+test_nd_step.py compares the library against a fixed reference rather
+than against itself; the giant and baby results are plugged with the
+frozen plug of oracle_paths.py.  Do not edit them to follow the library.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import NamedTuple, Union
 
+from oracle_paths import plug
 from rescal.parser import print_expr
-from rescal.reduction import Redex, redex_at
+from rescal.reduction import Redex, _redex_node, baby_local, giant_local, redex_at
 from rescal.syntax import Sum, Term
 
 
@@ -36,3 +39,18 @@ def make_nd_step(m: Term, r: Redex, local: Term, whole: Term) -> NdStep:
         chosen=print_expr(local),
         local=local,
     )
+
+
+class SumStep(NamedTuple):
+    before: Term
+    redex: Redex
+    mode: str
+    after: Sum
+
+
+def make_giant_step(m: Term, r: Redex) -> SumStep:
+    return SumStep(m, replace(redex_at(m, r.path), rule="Giant"), "giant", plug(m, r.path, giant_local(_redex_node(m, r.path))))
+
+
+def make_baby_step(m: Term, r: Redex) -> SumStep:
+    return SumStep(m, redex_at(m, r.path), "baby", plug(m, r.path, baby_local(_redex_node(m, r.path))))

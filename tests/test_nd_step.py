@@ -1,8 +1,10 @@
-"""nd steps agree with the frozen make_nd_step in oracle_nd_step.py.
+"""nd, giant and baby steps agree with the frozen step builders in
+oracle_nd_step.py.
 
 Every nd step that strategy_run builds (pick all and pick leftmost, budget
 3) must carry the redex that redex_at gives on its source term, the same
-printed chosen addend, the same local reduct and the same result.
+printed chosen addend, the same local reduct and the same result; every
+giant and baby step the same redex and the same result.
 """
 
 import random
@@ -24,6 +26,13 @@ def assert_steps_agree(m) -> int:
                     s.redex,
                 )
                 checked += 1
+    for mode, make in (("giant", oracle.make_giant_step), ("baby", oracle.make_baby_step)):
+        for pick in ("all", "leftmost"):
+            for t in strategy_run(m, mode, pick, budget=3):
+                for s in t.steps:
+                    want = make(s.before, s.redex)
+                    assert (s.redex, s.after) == (want.redex, want.after), (m, mode, pick, s.redex)
+                    checked += 1
     return checked
 
 
@@ -32,7 +41,7 @@ def test_nd_steps_agree_on_every_redex_term_up_to_size_six():
     for m in all_terms(6, ("x", "y")):
         if find_redexes(m):
             steps += assert_steps_agree(m)
-    assert steps > 1000
+    assert steps > 5000
 
 
 def test_nd_steps_agree_on_seeded_random_terms():
@@ -43,4 +52,4 @@ def test_nd_steps_agree_on_seeded_random_terms():
         if find_redexes(m):
             steps += assert_steps_agree(m)
             terms += 1
-    assert steps > 400
+    assert steps > 3000

@@ -48,6 +48,7 @@ from rescal import (
     serialize_path,
     strategy_run,
 )
+from rescal.reduction import AppArg, BagElem, ResourceContent
 from genterms import all_terms, random_term, term_strategy
 
 I = r"\w.w"
@@ -133,6 +134,27 @@ def test_leftmost_on_deep_terms_needs_no_recursion():
         assert len(r.path.steps) == 10_000 * steps_per_level
         assert resolve(m, r.path) == App(Abs("x", Var("x")), Bag())
         assert redex_at(m, r.path) == r
+
+
+def test_path_operations_on_deep_terms_need_no_recursion():
+    """A redex under 10,000 nested linear bags.  The deep terms are
+    inspected along the path only, since comparing them with == would
+    build their recursive canonical form."""
+    redex = App(Abs("z", Var("z")), Bag((Linear(Var("a")),)))
+    m, steps = redex, []
+    for _ in range(10_000):
+        elem = Linear(m)
+        m = App(Var("y"), Bag((elem,)))
+        steps += [ResourceContent(), BagElem(elem.ident), AppArg()]
+    path = Path(tuple(reversed(steps)))
+    assert resolve(m, path) is redex
+    spath = serialize_path(m, path)
+    assert spath == ("arg", ("elem", 0), "content") * 10_000
+    assert resolve_path(m, spath) == path
+    (plugged, k), = plug(m, path, Sum.of(Var("b"))).addends
+    assert k == 1 and resolve(plugged, path).name == "b"
+    labelled = label(m, [path])
+    assert resolve(labelled, path).label == 1 and resolve(labelled, path).fun is redex.fun
 
 
 # ------------------------------------------------------------- the order
