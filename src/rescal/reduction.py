@@ -20,6 +20,7 @@ from .syntax import (
     Abs,
     App,
     Bag,
+    Hole,
     Linear,
     Node,
     Resource,
@@ -28,6 +29,7 @@ from .syntax import (
     Term,
     Var,
     ZERO,
+    _children,
     canon_at,
     element_rank,
     free_vars,
@@ -312,10 +314,6 @@ def _spelled(link: tuple | None) -> tuple[PathStep, ...]:
     return tuple(step for steps in reversed(chunks) for step in steps)
 
 
-def _leftmost_paths(m: Term) -> set[tuple[PathStep, ...]]:
-    return {p for p, _ in _leftmost(m)}
-
-
 def _bag_rule(bag: Bag) -> str:
     if not bag.elements:
         return "Empty"
@@ -330,25 +328,36 @@ def find_redexes(m: Term) -> list[Redex]:
     them: a node's own redex, then those of its function, then those of
     its bag elements by rank.  A bag is ranked with serialize_path's key,
     under the binders in scope at the bag, and only when two or more of
-    its elements hold redexes.
+    its elements hold redexes.  The same walk applies _leftmost's rules:
+    nothing inside a redex is leftmost, and a bag's linear elements may
+    hold leftmost redexes only when its function side holds none.
     """
-    lm = _leftmost_paths(m)
+    lefts = 0  # leftmost redexes found so far
 
-    def walk(node: Node, prefix: tuple[PathStep, ...], outer: bool, levels: dict[str, int], depth: int) -> list[Redex]:
+    def walk(
+        node: Node, prefix: tuple[PathStep, ...], outer: bool, leftmost: bool, levels: dict[str, int], depth: int
+    ) -> list[Redex]:
+        nonlocal lefts
         match node:
             case Abs(binder, body):
-                return walk(body, prefix + (_BODY,), outer, {**levels, binder: depth}, depth + 1)
+                return walk(body, prefix + (_BODY,), outer, leftmost, {**levels, binder: depth}, depth + 1)
             case App(fun, arg, _):
                 found = []
                 if isinstance(fun, Abs):
-                    found.append(Redex(Path(prefix), _bag_rule(arg), outer, prefix in lm))
-                found += walk(fun, prefix + (_FUN,), outer, levels, depth)
+                    found.append(Redex(Path(prefix), _bag_rule(arg), outer, leftmost))
+                    lefts += leftmost
+                    leftmost = False
+                before = lefts
+                found += walk(fun, prefix + (_FUN,), outer, leftmost, levels, depth)
+                bag_leftmost = leftmost and lefts == before
                 held = []
                 for i, r in enumerate(arg.elements):
+                    linear = isinstance(r, Linear)
                     got = walk(
                         r.content,
                         prefix + (_ARG, BagElem(r.ident), _CONTENT),
-                        outer and isinstance(r, Linear),
+                        outer and linear,
+                        bag_leftmost and linear,
                         levels,
                         depth,
                     )
@@ -361,7 +370,7 @@ def find_redexes(m: Term) -> list[Redex]:
                 return found
         return []
 
-    return walk(m, (), True, {}, 0)
+    return walk(m, (), True, True, {}, 0)
 
 
 def leftmost_set(m: Term) -> set[Redex]:
@@ -451,6 +460,11 @@ def plug(m: Term, path: Path, s: Sum) -> Sum:
     frames, node = _frames(m, path.steps)
     if not isinstance(node, Term):
         raise InvalidPath("path into a bag must address an element's content")
+    return _plugged(frames, s)
+
+
+def _plugged(frames: list[tuple[Node, PathStep]], s: Sum) -> Sum:
+    """plug, given the frames of a path that reaches a term."""
     if not frames:
         return s
     pairs: list = list(s.addends)
@@ -472,16 +486,36 @@ def plug(m: Term, path: Path, s: Sum) -> Sum:
     return Sum(tuple(pairs))
 
 
-def _redex_node(m: Term, path: Path) -> App:
-    node = resolve(m, path)
+def _redex_frames(m: Term, path: Path) -> tuple[list[tuple[Node, PathStep]], App]:
+    """The frames of a path and the redex it reaches; one walk down."""
+    frames, node = _frames(m, path.steps)
     if not (isinstance(node, App) and isinstance(node.fun, Abs)):
         raise InvalidRedex(f"no redex at {serialize_path(m, path)!r}")
-    return node
+    return frames, node
+
+
+def _redex_node(m: Term, path: Path) -> App:
+    return _redex_frames(m, path)[1]
+
+
+def _leftmost_frame(parent: Node, step: PathStep) -> bool:
+    """Whether _leftmost's walk goes on from parent along step: not into
+    a redex, not into a ! element, and into a bag only when the function
+    beside it holds no outer redex."""
+    if isinstance(parent, App):
+        return not isinstance(parent.fun, Abs) and (isinstance(step, AppFun) or is_onf(parent.fun))
+    return not isinstance(parent, Reusable)
+
+
+def _redex_of(frames: list[tuple[Node, PathStep]], node: App, path: Path) -> Redex:
+    """The Redex at the end of frames, flagged as find_redexes flags it."""
+    outer = not any(isinstance(parent, Reusable) for parent, _ in frames)
+    leftmost = outer and all(_leftmost_frame(parent, step) for parent, step in frames)
+    return Redex(path, _bag_rule(node.arg), outer, leftmost)
 
 
 def redex_at(m: Term, path: Path) -> Redex:
-    node = _redex_node(m, path)
-    return Redex(path, _bag_rule(node.arg), linear_position(m, path), path.steps in _leftmost_paths(m))
+    return _redex_of(*_redex_frames(m, path), path)
 
 
 def _fresh_redex(node: App) -> tuple[str, Term, Bag]:
@@ -521,11 +555,13 @@ def baby_local(node: App) -> Sum:
 
 
 def giant_step(m: Term, r: Redex) -> Sum:
-    return plug(m, r.path, giant_local(_redex_node(m, r.path)))
+    frames, node = _redex_frames(m, r.path)
+    return _plugged(frames, giant_local(node))
 
 
 def baby_step(m: Term, r: Redex) -> Sum:
-    return plug(m, r.path, baby_local(_redex_node(m, r.path)))
+    frames, node = _redex_frames(m, r.path)
+    return _plugged(frames, baby_local(node))
 
 
 def baby_expand(m: Term, r: Redex) -> Sum:
@@ -534,7 +570,8 @@ def baby_expand(m: Term, r: Redex) -> Sum:
     Agrees with giant_step: feeding elements one at a time and then
     zeroing is the same as feeding the whole bag.
     """
-    binder, body, bag = _fresh_redex(_redex_node(m, r.path))
+    frames, node = _redex_frames(m, r.path)
+    binder, body, bag = _fresh_redex(node)
     acc: list[tuple[Term, int]] = []
     work: list[tuple[Term, Bag, int]] = [(body, bag, 1)]
     while work:
@@ -546,20 +583,25 @@ def baby_expand(m: Term, r: Redex) -> Sum:
         rest = Bag(tuple(e for e in remaining.elements if e.ident != least.ident))
         for t, k in resource_subst(cur, binder, least):
             work.append((t, rest, mult * k))
-    return plug(m, r.path, Sum(tuple(acc)))
+    return _plugged(frames, Sum(tuple(acc)))
 
 
 def nd_reducts(m: Term, r: Redex) -> list[tuple[Term, Term]]:
     """(local addend, whole term) pairs, one per giant-result addend,
     deduplicated and in canonical order of the local addend."""
-    local = giant_local(_redex_node(m, r.path))
+    return _nd_pairs(*_redex_frames(m, r.path))
+
+
+def _nd_pairs(frames: list[tuple[Node, PathStep]], node: App) -> list[tuple[Term, Term]]:
+    """nd_reducts, given the frames of the redex's path and the redex."""
+    local = giant_local(node)
     out: list[tuple[Term, Term]] = []
     seen = set()
     for t, _ in local:
         if t.canon() in seen:
             continue
         seen.add(t.canon())
-        whole = plug(m, r.path, Sum.of(t)).sole()
+        whole = _plugged(frames, Sum.of(t)).sole()
         out.append((t, whole))
     out.sort(key=lambda p: p[0].canon())
     return out
@@ -591,8 +633,9 @@ def make_nd_step(m: Term, r: Redex, local: Term, whole: Term) -> Step:
 def fire_nd(m: Term, path: Path, chosen=None) -> Step:
     """Fire one nd step; chosen picks the local addend by canonical form
     (least when omitted).  Raises InvalidTrace when nothing matches."""
-    r = redex_at(m, path)
-    pairs = nd_reducts(m, r)
+    frames, node = _redex_frames(m, path)
+    r = _redex_of(frames, node, path)
+    pairs = _nd_pairs(frames, node)
     if not pairs:
         raise InvalidTrace("the fired redex reduces to zero")
     if chosen is None:
@@ -614,8 +657,8 @@ def _label_in_order(m: Term, paths: Iterable[Path]) -> Term:
     """Attach labels 1..n to the redexes at paths already in path order."""
     out = m
     for i, p in enumerate(paths, 1):
-        node = _redex_node(out, p)
-        out = _rebuild(_frames(out, p.steps)[0], replace(node, label=i))
+        frames, node = _redex_frames(out, p)
+        out = _rebuild(frames, replace(node, label=i))
     return out
 
 
@@ -644,28 +687,51 @@ def labels_in(m: Node) -> dict[int, set[Path]]:
 
 
 def erase_labels(m: Node) -> Node:
-    match m:
-        case Var():
-            return m
-        case Abs():
-            return replace(m, body=erase_labels(m.body))
+    """m with every redex label removed.  Each node that holds no label is
+    returned as it is, so its cached keys carry over; bag elements keep
+    their ids.  Walks with an explicit stack, children before parents."""
+    done: list[Node] = []
+    stack: list[tuple[Node, tuple | None]] = [(m, None)]
+    while stack:
+        node, kids = stack.pop()
+        if isinstance(node, (Var, Hole)):
+            done.append(node)
+        elif kids is None:
+            kids = _children(node)
+            stack.append((node, kids))
+            stack.extend((c, None) for c in reversed(kids))
+        else:
+            erased = done[len(done) - len(kids) :]
+            del done[len(done) - len(kids) :]
+            done.append(_with_children(node, kids, erased))
+    return done[0]
+
+
+def _with_children(node: Node, kids: tuple, erased: list[Node]) -> Node:
+    """node with its children kids replaced by erased and its label
+    dropped; node itself when that changes nothing."""
+    if getattr(node, "label", None) is None and all(e is k for e, k in zip(erased, kids)):
+        return node
+    match node:
+        case Abs(binder):
+            return Abs(binder, erased[0])
         case App():
-            return App(erase_labels(m.fun), erase_labels(m.arg), None)
-        case Bag(elements):
-            return Bag(tuple(replace(r, content=erase_labels(r.content)) for r in elements))
+            return App(erased[0], erased[1], None)
         case Linear() | Reusable():
-            return replace(m, content=erase_labels(m.content))
+            return type(node)(erased[0], node.ident)
+        case Bag():
+            return Bag(tuple(erased))
         case Sum(addends):
-            return Sum(tuple((erase_labels(e), k) for e, k in addends))
-    raise TypeError(f"not a syntax node: {m!r}")
+            return Sum(tuple((e, k) for e, (_, k) in zip(erased, addends)))
+    raise TypeError(f"not a syntax node: {node!r}")
 
 
 def _labelled_outcomes(labelled: Term, path: Path, expected: Term):
     """The labelled reducts of firing the redex at path that erase to
     expected."""
-    node = _redex_node(labelled, path)
+    frames, node = _redex_frames(labelled, path)
     for t, _ in giant_local(node):
-        whole = plug(labelled, path, Sum.of(t)).sole()
+        whole = _plugged(frames, Sum.of(t)).sole()
         if erase_labels(whole) == expected:
             yield whole
 

@@ -14,7 +14,8 @@ Inside an operation the recursion passes plain lists of (expression,
 multiplicity) pairs, and one Sum is built at the public boundary.  The
 alternatives of a rebuilt bag are merged on the spot when there are
 several, since a bag is where repeated occurrences of the variable
-give alpha-equal alternatives.
+give alpha-equal alternatives.  A subterm in which the variable is not
+free is kept as it is, not rebuilt, so its cached keys carry over.
 """
 
 from __future__ import annotations
@@ -87,12 +88,12 @@ def classical_subst(a: Node, x: str, n: Sum | Term) -> Sum:
 
 
 def _classical(a: Node, x: str, n: Sequence[tuple[Node, int]], nfv: frozenset[str]) -> Pairs:
+    if type(a) is Var:
+        return n if a.name == x else [(a, 1)]
+    if x not in free_vars(a):
+        return [(a, 1)]
     match a:
-        case Var(name):
-            return n if name == x else [(a, 1)]
         case Abs(binder, body):
-            if binder == x or x not in free_vars(body):
-                return [(a, 1)]
             if binder in nfv:
                 binder, body = _rename_binder(binder, body, nfv | {x})
             return [(Abs(binder, t), k) for t, k in _classical(body, x, n, nfv)]
@@ -103,6 +104,9 @@ def _classical(a: Node, x: str, n: Sequence[tuple[Node, int]], nfv: frozenset[st
         case Bag(elements):
             bags: list[tuple[tuple[Resource, ...], int]] = [((), 1)]
             for r in elements:
+                if x not in free_vars(r):
+                    bags = [(es + (r,), i) for es, i in bags]
+                    continue
                 content = _classical(r.content, x, n, nfv)
                 if isinstance(r, Linear):
                     bags = [(es + (Linear(t, r.ident),), i * j) for es, i in bags for t, j in content]
@@ -128,12 +132,12 @@ def linear_subst(a: Node, x: str, n: Sum | Term) -> Sum:
 
 
 def _linear(a: Node, x: str, n: Term, nfv: frozenset[str]) -> Pairs:
+    if type(a) is Var:
+        return [(n, 1)] if a.name == x else []
+    if x not in free_vars(a):
+        return []
     match a:
-        case Var(name):
-            return [(n, 1)] if name == x else []
         case Abs(binder, body):
-            if binder == x:
-                return []
             if binder in nfv:
                 binder, body = _rename_binder(binder, body, nfv | {x})
             return [(Abs(binder, t), k) for t, k in _linear(body, x, n, nfv)]

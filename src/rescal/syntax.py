@@ -10,6 +10,17 @@ the empty bag.
 Equality and hashing on every node go through a nameless canonical
 form, so two expressions compare equal exactly when they are alpha
 equivalent up to reordering of bag elements and sum addends.
+
+Each node other than a variable caches, once computed, its free
+variables, its canonical form and its canonical form with redex labels
+ignored.  A subterm whose free variables avoid every binder above it has
+the same canonical form in place as on its own, so keying a term reuses
+the cached keys of such subterms instead of walking them again; since
+substitution and plugging share the subterms they do not change, most
+of a reduct is keyed already.  The caches are plain attributes, not
+dataclass fields, so equality, repr and dataclasses.replace ignore them.
+Keying and free-variable collection walk with explicit stacks, so they
+answer at any nesting depth.
 """
 
 from __future__ import annotations
@@ -31,14 +42,18 @@ def _next_element_id() -> int:
 class Node:
     """Base for all syntax nodes: equality is alpha-equivalence."""
 
+    # Per-node caches, each set once with object.__setattr__.  None means
+    # not computed yet; Var is keyed inline and never caches.
+    _fv_cache: frozenset[str] | None = None
+    _canon_cache: tuple | None = None
+    _lf_cache: tuple | None = None
+
     def canon(self):
         """Nameless canonical form, cached on first use."""
-        try:
-            return self._canon_cache
-        except AttributeError:
-            c = canon_at(self, {}, 0)
-            object.__setattr__(self, "_canon_cache", c)
-            return c
+        c = self._canon_cache
+        if c is None:
+            c = canon_at(self, _NO_BINDERS, 0)
+        return c
 
     def __eq__(self, other):
         if self is other:
@@ -189,33 +204,95 @@ class Sum(Node):
 ZERO = Sum(())
 
 
+_NO_BINDERS: dict[str, int] = {}
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def canon_at(node, bound: dict[str, int], depth: int, ignore_labels: bool = False):
-    """Canonical form of a subexpression under the given binder context."""
-    match node:
-        case Var(name):
-            level = bound.get(name)
-            if level is None:
-                return ("free", name)
-            return ("bound", depth - level)
-        case Hole(index):
-            return ("hole", index)
-        case Abs(binder, body):
-            return ("abs", canon_at(body, {**bound, binder: depth}, depth + 1, ignore_labels))
-        case App(fun, arg, lab):
-            f = canon_at(fun, bound, depth, ignore_labels)
-            a = canon_at(arg, bound, depth, ignore_labels)
-            if lab is None or ignore_labels:
-                return ("app", f, a)
-            return ("app*", lab, f, a)
-        case Linear(content):
-            return ("lin", canon_at(content, bound, depth, ignore_labels))
-        case Reusable(content):
-            return ("reu", canon_at(content, bound, depth, ignore_labels))
-        case Bag(elements):
-            return ("bag", tuple(sorted(canon_at(r, bound, depth, ignore_labels) for r in elements)))
-        case Sum(addends):
-            return ("sum", tuple((canon_at(e, {}, 0, ignore_labels), m) for e, m in addends))
-    raise TypeError(f"not a syntax node: {node!r}")
+    """Canonical form of a subexpression under the given binder context.
+
+    bound maps each binder in scope to the depth it was entered at, so a
+    bound variable is keyed by its de Bruijn index.  A subexpression whose
+    free variables avoid bound is keyed as on its own: its cached key is
+    reused, or computed once and cached.  The walk keeps an explicit stack
+    of visits and of builds, and the keys built so far on another.
+    """
+    attr = "_lf_cache" if ignore_labels else "_canon_cache"
+    keys: list = []
+    # A visit is (node, bound, depth); a build is (node, None, cacheable).
+    stack: list = [(node, bound, depth)]
+    while stack:
+        node, bound, depth = stack.pop()
+        cls = type(node)
+        if bound is None:
+            if cls is App:
+                a = keys.pop()
+                f = keys.pop()
+                key = ("app", f, a) if node.label is None or ignore_labels else ("app*", node.label, f, a)
+            elif cls is Abs:
+                key = ("abs", keys.pop())
+            elif cls is Linear:
+                key = ("lin", keys.pop())
+            elif cls is Reusable:
+                key = ("reu", keys.pop())
+            elif cls is Bag:
+                n = len(node.elements)
+                parts = keys[len(keys) - n :]
+                del keys[len(keys) - n :]
+                key = ("bag", tuple(sorted(parts)))
+            else:
+                n = len(node.addends)
+                parts = keys[len(keys) - n :]
+                del keys[len(keys) - n :]
+                key = ("sum", tuple(zip(parts, (m for _, m in node.addends))))
+            if depth:
+                object.__setattr__(node, attr, key)
+            keys.append(key)
+            continue
+        if cls is Var:
+            level = bound.get(node.name)
+            keys.append(("free", node.name) if level is None else ("bound", depth - level))
+            continue
+        if cls is Hole:
+            keys.append(("hole", node.index))
+            continue
+        if bound:
+            fv = node._fv_cache
+            if fv is None:
+                fv = free_vars(node)
+            if bound.keys().isdisjoint(fv):
+                bound, depth = _NO_BINDERS, 0
+        if not bound:
+            key = getattr(node, attr, None)
+            if key is not None:
+                keys.append(key)
+                continue
+        if cls is Abs:
+            # Only the binders the body can see go down, so the context
+            # stays small however deep the abstractions nest.
+            if bound and len(fv) < len(bound):
+                inner = {v: bound[v] for v in fv if v in bound}
+            else:
+                inner = dict(bound)
+            inner[node.binder] = depth
+            stack.append((node, None, not bound))
+            stack.append((node.body, inner, depth + 1))
+        elif cls is App:
+            stack.append((node, None, not bound))
+            stack.append((node.arg, bound, depth))
+            stack.append((node.fun, bound, depth))
+        elif cls is Linear or cls is Reusable:
+            stack.append((node, None, not bound))
+            stack.append((node.content, bound, depth))
+        elif cls is Bag:
+            stack.append((node, None, not bound))
+            stack.extend((r, bound, depth) for r in node.elements)
+        elif cls is Sum:
+            stack.append((node, None, True))
+            stack.extend((e, _NO_BINDERS, 0) for e, _ in reversed(node.addends))
+        else:
+            raise TypeError(f"not a syntax node: {node!r}")
+    return keys[0]
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
@@ -228,8 +305,11 @@ def canonicalize(e: Node):
 
 
 def label_free_key(e: Node) -> tuple:
-    """Canonical form of e with redex labels ignored."""
-    return canon_at(e, {}, 0, ignore_labels=True)
+    """Canonical form of e with redex labels ignored, cached on e."""
+    key = e._lf_cache
+    if key is None:
+        key = canon_at(e, _NO_BINDERS, 0, ignore_labels=True)
+    return key
 
 
 def element_rank(r: Resource) -> tuple:
@@ -238,28 +318,73 @@ def element_rank(r: Resource) -> tuple:
 
 
 def free_vars(e: Node) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case Hole():
-            return frozenset()
-        case Abs(binder, body):
-            return free_vars(body) - {binder}
-        case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
-        case Linear(content) | Reusable(content):
-            return free_vars(content)
-        case Bag(elements):
-            out: frozenset[str] = frozenset()
-            for r in elements:
-                out |= free_vars(r)
-            return out
-        case Sum(addends):
-            out = frozenset()
-            for a, _ in addends:
-                out |= free_vars(a)
-            return out
-    raise TypeError(f"not a syntax node: {e!r}")
+    """The free variables of e, cached on every node but a variable.
+
+    A node's set is computed after its children's, with an explicit
+    stack; a node shares its child's set when it adds or removes no name.
+    """
+    if type(e) is Var:
+        return frozenset((e.name,))
+    fv = getattr(e, "_fv_cache", None)
+    if fv is not None:
+        return fv
+    if not isinstance(e, Node):
+        raise TypeError(f"not a syntax node: {e!r}")
+    stack: list = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            object.__setattr__(node, "_fv_cache", _fv_of(node))
+        elif node._fv_cache is None:
+            children = _children(node)
+            stack.append((node, True))
+            stack.extend((c, False) for c in children if type(c) is not Var and c._fv_cache is None)
+    return e._fv_cache
+
+
+def _children(node: Node) -> tuple:
+    cls = type(node)
+    if cls is App:
+        return (node.fun, node.arg)
+    if cls is Abs:
+        return (node.body,)
+    if cls is Linear or cls is Reusable:
+        return (node.content,)
+    if cls is Bag:
+        return node.elements
+    if cls is Sum:
+        return tuple(a for a, _ in node.addends)
+    if cls is Hole:
+        return ()
+    raise TypeError(f"not a syntax node: {node!r}")
+
+
+def _cached_fv(c: Node) -> frozenset[str]:
+    return frozenset((c.name,)) if type(c) is Var else c._fv_cache
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _fv_of(node: Node) -> frozenset[str]:
+    """Free variables of a node whose children's sets are cached."""
+    cls = type(node)
+    if cls is Abs:
+        fv = _cached_fv(node.body)
+        return fv - {node.binder} if node.binder in fv else fv
+    if cls is App:
+        return _union(_cached_fv(node.fun), _cached_fv(node.arg))
+    if cls is Linear or cls is Reusable:
+        return _cached_fv(node.content)
+    out = _NO_NAMES
+    for c in _children(node):
+        out = _union(out, _cached_fv(c))
+    return out
 
 
 def size(e: Node) -> int:
