@@ -497,25 +497,29 @@ class _Rebuilder:
         raise MalformedTree("spine firing does not match any reduct")
 
     def walk_nd(self, node: MachineNode, prefix: tuple[PathStep, ...]):
-        if resolve(self.cur, Path(prefix)) != node.input:
-            raise MalformedTree("judgment input does not match the rebuilt term")
-        rule = node.rule
-        if rule == "end":
-            if node.children or node.output != node.input:
-                raise MalformedTree("end rule must be a leaf repeating its input")
-            return
-        if rule == "lambda":
-            (child,) = node.children
-            return self.walk_nd(child, prefix + (AbsBody(),))
-        if rule == "head":
-            _, apps = _spine(node.input)
-            if len(apps) != len(node.children):
-                raise MalformedTree("head rule arity does not match the spine")
-            for i, child in enumerate(node.children):
-                bag_prefix = prefix + (AppFun(),) * (len(apps) - 1 - i) + (AppArg(),)
-                self.walk_bag(child, bag_prefix, frozenset())
-            return
-        if rule in ("0", "beta", "!beta"):
+        """Replay a term judgment; the lambda rule and a spine chain's
+        continuation go on in the same loop, not in a call."""
+        while True:
+            if resolve(self.cur, Path(prefix)) != node.input:
+                raise MalformedTree("judgment input does not match the rebuilt term")
+            rule = node.rule
+            if rule == "end":
+                if node.children or node.output != node.input:
+                    raise MalformedTree("end rule must be a leaf repeating its input")
+                return
+            if rule == "lambda":
+                (node,) = node.children
+                prefix += (AbsBody(),)
+                continue
+            if rule == "head":
+                _, apps = _spine(node.input)
+                if len(apps) != len(node.children):
+                    raise MalformedTree("head rule arity does not match the spine")
+                for i, child in enumerate(node.children):
+                    self.walk_bag(child, prefix + (AppFun(),) * (len(apps) - 1 - i) + (AppArg(),))
+                return
+            if rule not in ("0", "beta", "!beta"):
+                raise MalformedTree(f"unknown machine rule {rule!r}")
             chain = node
             while chain.rule in ("beta", "!beta"):
                 if len(chain.children) != 1:
@@ -525,43 +529,43 @@ class _Rebuilder:
                 raise MalformedTree("a spine chain must end with rule 0")
             if len(chain.children) != 1:
                 raise MalformedTree("rule 0 must have one premise")
-            cont = chain.children[0]
-            self.fire(prefix, cont.input)
-            return self.walk_nd(cont, prefix)
-        raise MalformedTree(f"unknown machine rule {rule!r}")
+            node = chain.children[0]
+            self.fire(prefix, node.input)
 
-    def walk_bag(self, node: MachineNode, prefix: tuple[PathStep, ...], done: frozenset[int]):
-        bag = resolve(self.cur, Path(prefix))
-        if not isinstance(bag, Bag):
-            raise MalformedTree("bag judgment is not at a bag position")
-        remaining = [r for r in bag.elements if r.ident not in done]
-        if Bag(tuple(remaining)) != node.input:
-            raise MalformedTree("bag judgment input does not match the rebuilt term")
-        if node.rule == "1b":
-            if remaining or node.children:
-                raise MalformedTree("rule 1b applies to the empty bag only")
-            return
-        if node.rule == "b":
-            elem_child, rest_child = node.children
-            matching = [
-                r for r in remaining
-                if isinstance(r, Linear) and r.content == elem_child.input
-            ]
-            if not matching:
-                raise MalformedTree("no unprocessed linear element matches the premise")
-            ident = matching[0].ident
-            self.walk_nd(elem_child, prefix + (BagElem(ident), ResourceContent()))
-            return self.walk_bag(rest_child, prefix, done | {ident})
-        if node.rule == "!b":
-            (rest_child,) = node.children
-            skipped = [
-                r for r in remaining
-                if isinstance(r, Reusable) and Bag(tuple(x for x in remaining if x is not r)) == rest_child.input
-            ]
-            if not skipped:
-                raise MalformedTree("no reusable element matches the skipped premise")
-            return self.walk_bag(rest_child, prefix, done | {skipped[0].ident})
-        raise MalformedTree(f"unknown bag rule {node.rule!r}")
+    def walk_bag(self, node: MachineNode, prefix: tuple[PathStep, ...]):
+        """Replay a bag judgment; the rest-of-bag premise goes on in the
+        same loop, with the ids of the elements already processed in done."""
+        done: set[int] = set()
+        while True:
+            bag = resolve(self.cur, Path(prefix))
+            if not isinstance(bag, Bag):
+                raise MalformedTree("bag judgment is not at a bag position")
+            remaining = [r for r in bag.elements if r.ident not in done]
+            if Bag(tuple(remaining)) != node.input:
+                raise MalformedTree("bag judgment input does not match the rebuilt term")
+            if node.rule == "1b":
+                if remaining or node.children:
+                    raise MalformedTree("rule 1b applies to the empty bag only")
+                return
+            if node.rule == "b":
+                elem_child, node = node.children
+                matching = [r for r in remaining if isinstance(r, Linear) and r.content == elem_child.input]
+                if not matching:
+                    raise MalformedTree("no unprocessed linear element matches the premise")
+                ident = matching[0].ident
+                self.walk_nd(elem_child, prefix + (BagElem(ident), ResourceContent()))
+            elif node.rule == "!b":
+                (node,) = node.children
+                skipped = [
+                    r for r in remaining
+                    if isinstance(r, Reusable) and Bag(tuple(x for x in remaining if x is not r)) == node.input
+                ]
+                if not skipped:
+                    raise MalformedTree("no reusable element matches the skipped premise")
+                ident = skipped[0].ident
+            else:
+                raise MalformedTree(f"unknown bag rule {node.rule!r}")
+            done.add(ident)
 
 
 def reconstruct_trace(tree: MachineNode) -> Trace:

@@ -130,9 +130,6 @@ class _Parser:
         if self.peek()[0] != "eof":
             self.fail(frozenset({"eof"}))
 
-    def at_term_start(self) -> bool:
-        return self.peek()[0] in ("ident", "lparen", "lambda")
-
     def sum(self) -> Sum:
         if self.peek()[0] == "zero":
             self.next()

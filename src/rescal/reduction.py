@@ -146,10 +146,7 @@ def _descend(node: Node, step: PathStep) -> Node:
 
 def resolve(m: Node, path: Path) -> Node:
     """The subexpression of m at the given path."""
-    node = m
-    for step in path.steps:
-        node = _descend(node, step)
-    return node
+    return _frames(m, path.steps)[1]
 
 
 def _frames(m: Node, steps: Iterable[PathStep]) -> tuple[list[tuple[Node, PathStep]], Node]:
@@ -188,18 +185,13 @@ def _reusable_cut(m: Node, path: Path) -> int | None:
     return next((i + 1 for i, (parent, _) in enumerate(frames) if isinstance(parent, Reusable)), None)
 
 
-def linear_position(m: Node, path: Path) -> bool:
-    """True when the path passes through no reusable element."""
-    return _reusable_cut(m, path) is None
-
-
-def _ranked_elements(bag: Bag, binders: list[str]) -> tuple[Resource, ...] | list[Resource]:
-    """A bag's elements in rank order under the binders in scope, inner
-    last; a bag of fewer than two elements is not ranked."""
+def _ranked_elements(bag: Bag, levels: dict[str, int], depth: int) -> tuple[Resource, ...] | list[Resource]:
+    """A bag's elements in rank order: by canonical form under the binders
+    in scope, keyed as canon_at keys them, then by place.  A bag of fewer
+    than two elements is not ranked."""
     if len(bag.elements) < 2:
         return bag.elements
-    levels = {b: i for i, b in enumerate(binders)}
-    keyed = [(canon_at(r, levels, len(binders), ignore_labels=True), i, r) for i, r in enumerate(bag.elements)]
+    keyed = [(canon_at(r, levels, depth, ignore_labels=True), i, r) for i, r in enumerate(bag.elements)]
     return [r for _, _, r in sorted(keyed, key=lambda t: (t[0], t[1]))]
 
 
@@ -207,13 +199,15 @@ def serialize_path(m: Node, path: Path) -> tuple:
     """Id-free form of a path: bag elements become canonical ranks."""
     frames, _ = _frames(m, path.steps)
     out: list = []
-    binders: list[str] = []
+    levels: dict[str, int] = {}
+    depth = 0  # binders entered; a shadowed binder keeps one entry in levels
     for parent, step in frames:
         match step:
             case BagElem(ident):
-                out.append(("elem", [r.ident for r in _ranked_elements(parent, binders)].index(ident)))
+                out.append(("elem", [r.ident for r in _ranked_elements(parent, levels, depth)].index(ident)))
             case AbsBody():
-                binders.append(parent.binder)
+                levels[parent.binder] = depth
+                depth += 1
                 out.append("body")
             case _:
                 out.append(_STEP_TAGS[type(step)])
@@ -224,13 +218,14 @@ def resolve_path(m: Node, spath: Iterable) -> Path:
     """Turn an id-free path back into an addressed path on m."""
     steps: list[PathStep] = []
     node = m
-    binders: list[str] = []
+    levels: dict[str, int] = {}
+    depth = 0
     for tag in spath:
         if isinstance(tag, dict):
             tag = ("elem", tag["elem"])
         match (node, tag):
             case (Bag(), ("elem", rank)):
-                ranked = _ranked_elements(node, binders)
+                ranked = _ranked_elements(node, levels, depth)
                 if not 0 <= rank < len(ranked):
                     raise InvalidPath(f"bag rank {rank} out of range")
                 step = BagElem(ranked[rank].ident)
@@ -243,7 +238,8 @@ def resolve_path(m: Node, spath: Iterable) -> Path:
         except InvalidPath:
             raise InvalidPath(f"tag {tag!r} does not match {type(node).__name__}") from None
         if isinstance(node, Abs):
-            binders.append(node.binder)
+            levels[node.binder] = depth
+            depth += 1
         steps.append(step)
         node = child
     return Path(tuple(steps))
@@ -265,46 +261,6 @@ def transport_path(src: Node, path: Path, dst: Node) -> Path:
     return resolve_path(dst, serialize_path(src, path))
 
 
-def _leftmost(m: Term) -> list[tuple[tuple[PathStep, ...], App]]:
-    """(path, redex node) of each leftmost redex of m, unordered.
-
-    A redex is leftmost itself; an application that is no redex has the
-    leftmost redexes of its function, or, when that has none, those of
-    the contents of its linear bag elements.  The walk keeps an explicit
-    stack: a marker under the function's entry records how many redexes
-    were found before it, so the bag is entered only if the function
-    added none.  Paths are linked to their parents and spelled out only
-    for the redexes found.
-    """
-    found: list[tuple[tuple[PathStep, ...], App]] = []
-    stack: list[tuple[Node, tuple | None, int]] = [(m, None, -1)]
-    while stack:
-        node, link, mark = stack.pop()
-        if mark >= 0:
-            # node is an application whose function has been walked.
-            if len(found) == mark:
-                stack.extend(
-                    (r.content, (link, (_ARG, BagElem(r.ident), _CONTENT)), -1)
-                    for r in reversed(node.arg.elements)
-                    if isinstance(r, Linear)
-                )
-            continue
-        match node:
-            case Var():
-                pass
-            case Abs(_, body):
-                stack.append((body, (link, (_BODY,)), -1))
-            case App(fun, _, _):
-                if isinstance(fun, Abs):
-                    found.append((_spelled(link), node))
-                else:
-                    stack.append((node, link, len(found)))
-                    stack.append((fun, (link, (_FUN,)), -1))
-            case _:
-                raise TypeError(f"not a syntax node: {node!r}")
-    return found
-
-
 def _spelled(link: tuple | None) -> tuple[PathStep, ...]:
     """The steps of a linked path, root first."""
     chunks = []
@@ -321,69 +277,89 @@ def _bag_rule(bag: Bag) -> str:
     return "LinearHead" if isinstance(least, Linear) else "ReusableHead"
 
 
+_WALK, _BAG, _RANK = range(3)
+
+
+def _redexes(m: Term, leftmost_only: bool) -> list[Redex]:
+    """The redexes of m in path order, flagged outer and leftmost; with
+    leftmost_only, the leftmost ones alone.
+
+    One depth-first walk with an explicit stack emits a node's own redex,
+    then those of its function, then those of its bag's elements in
+    _ranked_elements' order; a bag is ranked only when two or more of its
+    elements hold redexes.  Nothing inside a redex is leftmost, nor
+    inside a ! element, and a bag's linear elements hold leftmost
+    redexes only when its function side holds none; leftmost_only skips
+    those places.  Paths are linked to their parents and spelled out
+    only for the redexes found.
+
+    An entry is (op, node, link, outer, leftmost, levels, depth, out,
+    extra).  _WALK walks node into the list out.  _BAG walks the bag of
+    the application node after its function side, begun when extra
+    leftmost redexes had been found.  _RANK appends to out, in rank
+    order, the lists of extra that the elements of the bag node filled.
+    """
+    found: list[Redex] = []
+    lefts = 0  # leftmost redexes found so far
+    stack: list[tuple] = [(_WALK, m, None, True, True, {}, 0, found, None)]
+    while stack:
+        op, node, link, outer, leftmost, levels, depth, out, extra = stack.pop()
+        if op == _RANK:
+            held = [got for got in extra if got]
+            if len(held) > 1:
+                by_ident = {r.ident: got for r, got in zip(node.elements, extra)}
+                held = [by_ident[r.ident] for r in _ranked_elements(node, levels, depth)]
+            for got in held:
+                out += got
+        elif op == _BAG:
+            bag_leftmost = leftmost and lefts == extra
+            if leftmost_only and not bag_leftmost:
+                continue
+            elements = node.arg.elements
+            if len(elements) > 1:
+                outs = [[] for _ in elements]
+                stack.append((_RANK, node.arg, None, False, False, levels, depth, out, outs))
+            else:
+                outs = [out] * len(elements)
+            for r, got in zip(reversed(elements), reversed(outs)):
+                linear = isinstance(r, Linear)
+                if linear or not leftmost_only:
+                    child = (link, (_ARG, BagElem(r.ident), _CONTENT))
+                    stack.append(
+                        (_WALK, r.content, child, outer and linear, bag_leftmost and linear, levels, depth, got, None)
+                    )
+        elif isinstance(node, Abs):
+            inner = {**levels, node.binder: depth}
+            stack.append((_WALK, node.body, (link, (_BODY,)), outer, leftmost, inner, depth + 1, out, None))
+        elif isinstance(node, App):
+            if isinstance(node.fun, Abs):
+                out.append(Redex(Path(_spelled(link)), _bag_rule(node.arg), outer, leftmost))
+                lefts += leftmost
+                if leftmost_only:
+                    continue
+                leftmost = False
+            stack.append((_BAG, node, link, outer, leftmost, levels, depth, out, lefts))
+            stack.append((_WALK, node.fun, (link, (_FUN,)), outer, leftmost, levels, depth, out, None))
+    return found
+
+
 def find_redexes(m: Term) -> list[Redex]:
     """All redexes of m in path order, flagged outer and leftmost.
 
-    One depth-first walk emits them already ordered as path_key orders
-    them: a node's own redex, then those of its function, then those of
-    its bag elements by rank.  A bag is ranked with serialize_path's key,
-    under the binders in scope at the bag, and only when two or more of
-    its elements hold redexes.  The same walk applies _leftmost's rules:
-    nothing inside a redex is leftmost, and a bag's linear elements may
-    hold leftmost redexes only when its function side holds none.
+    The walk of _redexes finds them already ordered as path_key orders
+    them, and keeps an explicit stack, so deep terms need no recursion.
     """
-    lefts = 0  # leftmost redexes found so far
-
-    def walk(
-        node: Node, prefix: tuple[PathStep, ...], outer: bool, leftmost: bool, levels: dict[str, int], depth: int
-    ) -> list[Redex]:
-        nonlocal lefts
-        match node:
-            case Abs(binder, body):
-                return walk(body, prefix + (_BODY,), outer, leftmost, {**levels, binder: depth}, depth + 1)
-            case App(fun, arg, _):
-                found = []
-                if isinstance(fun, Abs):
-                    found.append(Redex(Path(prefix), _bag_rule(arg), outer, leftmost))
-                    lefts += leftmost
-                    leftmost = False
-                before = lefts
-                found += walk(fun, prefix + (_FUN,), outer, leftmost, levels, depth)
-                bag_leftmost = leftmost and lefts == before
-                held = []
-                for i, r in enumerate(arg.elements):
-                    linear = isinstance(r, Linear)
-                    got = walk(
-                        r.content,
-                        prefix + (_ARG, BagElem(r.ident), _CONTENT),
-                        outer and linear,
-                        bag_leftmost and linear,
-                        levels,
-                        depth,
-                    )
-                    if got:
-                        held.append((i, r, got))
-                if len(held) > 1:
-                    held.sort(key=lambda h: (canon_at(h[1], levels, depth, ignore_labels=True), h[0]))
-                for _, _, got in held:
-                    found += got
-                return found
-        return []
-
-    return walk(m, (), True, True, {}, 0)
+    return _redexes(m, False)
 
 
 def leftmost_set(m: Term) -> set[Redex]:
     # Leftmost redexes are always outer.
-    return {Redex(Path(p), _bag_rule(node.arg), True, True) for p, node in _leftmost(m)}
+    return set(_redexes(m, True))
 
 
 def _least_leftmost(m: Term) -> Redex | None:
-    """The least leftmost redex in path order; bags are ranked only on a tie."""
-    lm = leftmost_set(m)
-    if len(lm) > 1:
-        return min(lm, key=lambda r: path_key(m, r.path))
-    return next(iter(lm), None)
+    """The least leftmost redex in path order."""
+    return next(iter(_redexes(m, True)), None)
 
 
 def is_onf(m: Term) -> bool:
@@ -418,8 +394,8 @@ def precedes(p1: Path, p2: Path, m: Term) -> str:
     positions of an application the function side precedes the argument
     side.
     """
-    resolve(m, p1)
-    resolve(m, p2)
+    f1, _ = _frames(m, p1.steps)
+    f2, _ = _frames(m, p2.steps)
     s1, s2 = p1.steps, p2.steps
     if s1 == s2:
         return "Incomparable"
@@ -430,14 +406,13 @@ def precedes(p1: Path, p2: Path, m: Term) -> str:
         return "Before"
     if k == len(s2):
         return "After"
-    root = resolve(m, Path(s1[:k]))
-    lin1 = linear_position(root, Path(s1[k:]))
-    lin2 = linear_position(root, Path(s2[k:]))
+    lin1 = not any(isinstance(parent, Reusable) for parent, _ in f1[k:])
+    lin2 = not any(isinstance(parent, Reusable) for parent, _ in f2[k:])
     if lin1 and not lin2:
         return "Before"
     if lin2 and not lin1:
         return "After"
-    if lin1 and lin2 and isinstance(root, App):
+    if lin1 and lin2 and isinstance(f1[k][0], App):
         if isinstance(s1[k], AppFun) and isinstance(s2[k], AppArg):
             return "Before"
         if isinstance(s1[k], AppArg) and isinstance(s2[k], AppFun):
@@ -832,20 +807,21 @@ def _search(root, moves, fire, budget: int, key):
     list marks a final state.  fire(state, move) yields (step, next
     state) pairs; yielding none marks a crashed move.  States are
     deduplicated by key(state).  Yields (event, node) in search order:
-    "final" for a final state, "cut" for a state with moves at the depth
-    budget, "crash" once per crashed move of a state, and for each child
-    "new" the first time its key is reached or "seen" afterwards.
+    "cut" for a state at the depth budget, whose moves are not listed,
+    "final" for a final state, "crash" once per crashed move of a state,
+    and for each child "new" the first time its key is reached or "seen"
+    afterwards.
     """
     queue = deque([_SearchNode(root, None, None, 0)])
     visited = {key(root)}
     while queue:
         node = queue.popleft()
+        if node.depth >= budget:
+            yield "cut", node
+            continue
         ms = moves(node.state)
         if not ms:
             yield "final", node
-            continue
-        if node.depth >= budget:
-            yield "cut", node
             continue
         for move in ms:
             crashed = True
@@ -868,21 +844,22 @@ def _nd_fire(m: Term, r: Redex):
     return ((make_nd_step(m, r, local, whole), whole) for local, whole in nd_reducts(m, r))
 
 
-def _run_traces(m: Term, mode: str, events) -> list[Trace]:
+def _run_traces(m: Term, mode: str, moves, events) -> list[Trace]:
     """One trace per search event except "new".  A repeated state still
-    gets a (truncated) trace, so every explored edge shows up."""
+    gets a (truncated) trace, so every explored edge shows up; a state
+    at the depth cut with no moves is final."""
     out: list[Trace] = []
     for event, node in events:
         if event == "new":
             continue
         crashed = (event == "crash") if mode == "nd" else node.state.is_zero
-        truncated = event in ("cut", "seen")
+        truncated = event == "seen" or (event == "cut" and bool(moves(node.state)))
         out.append(Trace(m, node.steps(), mode, final=node.state, truncated=truncated, crashed=crashed))
     return out
 
 
 def _nd_all_run(m: Term, budget: int) -> list[Trace]:
-    return _run_traces(m, "nd", _search(m, find_redexes, _nd_fire, budget, Node.canon))
+    return _run_traces(m, "nd", find_redexes, _search(m, find_redexes, _nd_fire, budget, Node.canon))
 
 
 def _sum_run(m: Term, mode: str, budget: int, leftmost_only: bool) -> list[Trace]:
@@ -898,7 +875,7 @@ def _sum_run(m: Term, mode: str, budget: int, leftmost_only: bool) -> list[Trace
         step = make(*move)
         return [(step, _sum_replace(state, step.before, step.after))]
 
-    return _run_traces(m, mode, _search(Sum.of(m), moves, fire, budget, Node.canon))
+    return _run_traces(m, mode, moves, _search(Sum.of(m), moves, fire, budget, Node.canon))
 
 
 def strategy_run(m: Term, mode: str = "nd", pick: str = "leftmost", budget: int = 100, paths=None) -> list[Trace]:

@@ -12,7 +12,7 @@ recurse into the hole contents.
 
 from dataclasses import dataclass, replace
 
-from .syntax import Abs, App, Bag, Hole, Node, Reusable, Term, Var, canon_at, label_free_key
+from .syntax import Abs, App, Bag, Hole, Node, Reusable, Term, Var, label_free_key
 from .reduction import (
     AbsBody,
     AppArg,
@@ -27,6 +27,7 @@ from .reduction import (
     _label_in_order,
     _labelled_outcomes,
     _nd_fire,
+    _ranked_elements,
     _reusable_cut,
     _search,
     find_redexes,
@@ -198,20 +199,15 @@ def outer_shape(m: Term) -> OuterShape:
                 new_arg = walk(arg, prefix + (AppArg(),), levels, depth)
                 return replace(node, fun=new_fun, arg=new_arg)
             case Bag(elements):
-                ranked = sorted(
-                    range(len(elements)),
-                    key=lambda i: (canon_at(elements[i], levels, depth, ignore_labels=True), i),
-                )
                 repl: dict[int, Term] = {}
-                for i in ranked:
-                    r = elements[i]
+                for r in _ranked_elements(node, levels, depth):
                     at = prefix + (BagElem(r.ident), ResourceContent())
                     if isinstance(r, Reusable):
-                        repl[i] = Hole(len(sites))
+                        repl[r.ident] = Hole(len(sites))
                         sites.append(HoleSite(len(sites), Path(at), r.content))
                     else:
-                        repl[i] = walk(r.content, at, levels, depth)
-                return Bag(tuple(replace(r, content=repl[i]) for i, r in enumerate(elements)))
+                        repl[r.ident] = walk(r.content, at, levels, depth)
+                return Bag(tuple(replace(r, content=repl[r.ident]) for r in elements))
         raise TypeError(f"not a syntax node: {node!r}")
 
     skeleton = walk(m, (), {}, 0)

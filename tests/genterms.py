@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from rescal.reduction import AbsBody, AppArg, AppFun, BagElem, Path, ResourceContent
 from rescal.syntax import (
     Abs,
     App,
@@ -154,3 +155,23 @@ def lambda_strategy(max_size: int = 10):
         st.integers(0, 2**32 - 1),
         st.integers(2, max_size),
     )
+
+
+def positions(m):
+    """(path, node) for every node of m: terms, bags and bag elements."""
+    out = []
+    stack = [((), m)]
+    while stack:
+        steps, node = stack.pop()
+        out.append((Path(steps), node))
+        match node:
+            case Abs(_, body):
+                stack.append((steps + (AbsBody(),), body))
+            case App(fun, arg, _):
+                stack.append((steps + (AppFun(),), fun))
+                stack.append((steps + (AppArg(),), arg))
+            case Bag(elements):
+                stack.extend((steps + (BagElem(r.ident),), r) for r in elements)
+            case Linear(content) | Reusable(content):
+                stack.append((steps + (ResourceContent(),), content))
+    return out

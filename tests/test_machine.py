@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 
 from rescal import (
+    Abs,
+    App,
     Bag,
     BudgetExhausted,
     Converged,
+    Linear,
     MachineNode,
     MalformedTree,
     MaySolvable,
@@ -196,6 +199,18 @@ def test_spine_chain_fuses_to_one_step():
     want = [parse_term(r"(\w.w)[q]").canon(), parse_term("q").canon()]
     assert [s.after.canon() for s in t.steps] == want
     assert is_standard(t).standard
+
+
+def test_reconstruct_replays_nested_identities_without_recursion():
+    """1,000 nested linear identities (\\x.x)[(\\x.x)[...y]], built as
+    nodes because the parser recurses: one chain of judgments per step."""
+    m = Var("y")
+    for _ in range(1_000):
+        m = App(Abs("x", Var("x")), Bag((Linear(m),)))
+    got = machine_step_run(m, "canonical-first", 10_000)
+    assert isinstance(got, Converged) and got.result == Var("y")
+    t = reconstruct_trace(got.tree)
+    assert len(t.steps) == 1_000 and t.final == Var("y")
 
 
 def test_reconstruct_rejects_tampered_trees():

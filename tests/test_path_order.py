@@ -16,7 +16,7 @@ import random
 import pytest
 
 import oracle_paths as oracle
-from genterms import all_terms, random_term
+from genterms import all_terms, positions, random_term
 from rescal import (
     Abs,
     App,
@@ -42,9 +42,7 @@ from rescal import (
     strategy_run,
 )
 from rescal.reduction import (
-    AbsBody,
     AppArg,
-    AppFun,
     BagElem,
     Path,
     ResourceContent,
@@ -61,26 +59,6 @@ SUB_TERM = parse_term(r"\v.v[!v]")
 SUB_BAG = Bag((Reusable(Var("v")),))
 WRAP = parse_term(r"\v.y[v][!v]")
 SELF = parse_term(r"\v.v[v]")
-
-
-def positions(m):
-    """(path, node) for every node of m: terms, bags and bag elements."""
-    out = []
-    stack = [((), m)]
-    while stack:
-        steps, node = stack.pop()
-        out.append((Path(steps), node))
-        match node:
-            case Abs(_, body):
-                stack.append((steps + (AbsBody(),), body))
-            case App(fun, arg, _):
-                stack.append((steps + (AppFun(),), fun))
-                stack.append((steps + (AppArg(),), arg))
-            case Bag(elements):
-                stack.extend((steps + (BagElem(r.ident),), r) for r in elements)
-            case Linear(content) | Reusable(content):
-                stack.append((steps + (ResourceContent(),), content))
-    return out
 
 
 def shape(node, known: set[int]) -> list:

@@ -48,7 +48,7 @@ from rescal import (
     serialize_path,
     strategy_run,
 )
-from rescal.reduction import AppArg, BagElem, ResourceContent
+from rescal.reduction import AppArg, BagElem, ResourceContent, _least_leftmost
 from genterms import all_terms, random_term, term_strategy
 
 I = r"\w.w"
@@ -127,10 +127,11 @@ def test_leftmost_on_deep_terms_needs_no_recursion():
 
     in_bag = lambda t: App(Var("y"), Bag((Linear(t),)))  # noqa: E731
     bags = nest(10_000, Var("y"), in_bag)
-    assert leftmost_set(bags) == set()
+    assert leftmost_set(bags) == set() and find_redexes(bags) == [] and _least_leftmost(bags) is None
     for wrap, steps_per_level in ((in_bag, 3), (lambda t: Abs("x", t), 1)):
         m = nest(10_000, App(Abs("x", Var("x")), Bag()), wrap)
         (r,) = leftmost_set(m)
+        assert find_redexes(m) == [r] and _least_leftmost(m) == r
         assert len(r.path.steps) == 10_000 * steps_per_level
         assert resolve(m, r.path) == App(Abs("x", Var("x")), Bag())
         assert redex_at(m, r.path) == r
