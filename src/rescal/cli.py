@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_CRASH = 1  # reduction to zero / machine undefined / not solvable
 EXIT_BUDGET = 2  # step or search budget ran out
 EXIT_PARSE = 3  # unreadable input
+EXIT_INTERNAL = 4  # internal error: the input nests deeper than the recursion limit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rescal",
         description="Resource calculus workbench.",
         epilog="exit codes: 0 ok; 1 reduction to zero, machine undefined, or not solvable; "
-               "2 budget or search bound exhausted; 3 unreadable input",
+               "2 budget or search bound exhausted; 3 unreadable input; 4 internal error",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -392,7 +393,11 @@ def main(argv=None) -> int:
     if getattr(args, "budget", 1) < 1 or getattr(args, "steps", 1) < 1:
         print("the budget must be at least 1", file=sys.stderr)
         return EXIT_PARSE
-    return args.run(args)
+    try:
+        return args.run(args)
+    except RecursionError:
+        print("internal error: the input nests too deeply (recursion limit exceeded)", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Union
 
-from .substitution import _rename_binder, _reusables, classical_subst, resource_subst
+from .substitution import _rename_binder, _reusables, bag_subst, classical_subst, resource_subst
 from .syntax import (
     Abs,
     App,
@@ -542,23 +542,14 @@ def baby_step(m: Term, r: Redex) -> Sum:
 def baby_expand(m: Term, r: Redex) -> Sum:
     """Fire one redex with baby steps until the bag and binder are gone.
 
+    bag_subst feeds the elements one at a time, least first as
+    baby_local picks them, and the final [0/x] is the empty bag's step.
     Agrees with giant_step: feeding elements one at a time and then
     zeroing is the same as feeding the whole bag.
     """
     frames, node = _redex_frames(m, r.path)
     binder, body, bag = _fresh_redex(node)
-    acc: list[tuple[Term, int]] = []
-    work: list[tuple[Term, Bag, int]] = [(body, bag, 1)]
-    while work:
-        cur, remaining, mult = work.pop()
-        if not remaining.elements:
-            acc += [(t, k * mult) for t, k in classical_subst(cur, binder, ZERO)]
-            continue
-        least = min(remaining.elements, key=element_rank)
-        rest = Bag(tuple(e for e in remaining.elements if e.ident != least.ident))
-        for t, k in resource_subst(cur, binder, least):
-            work.append((t, rest, mult * k))
-    return _plugged(frames, Sum(tuple(acc)))
+    return _plugged(frames, classical_subst(bag_subst(body, binder, bag), binder, ZERO))
 
 
 def nd_reducts(m: Term, r: Redex) -> list[tuple[Term, Term]]:
@@ -701,16 +692,6 @@ def _with_children(node: Node, kids: tuple, erased: list[Node]) -> Node:
     raise TypeError(f"not a syntax node: {node!r}")
 
 
-def _labelled_outcomes(labelled: Term, path: Path, expected: Term):
-    """The labelled reducts of firing the redex at path that erase to
-    expected."""
-    frames, node = _redex_frames(labelled, path)
-    for t, _ in giant_local(node):
-        whole = _plugged(frames, Sum.of(t)).sole()
-        if erase_labels(whole) == expected:
-            yield whole
-
-
 def residuals(labelled_term: Term, step: Step) -> dict[int, set[Path]]:
     """Where each labelled redex survives after the given nd step.
 
@@ -722,10 +703,13 @@ def residuals(labelled_term: Term, step: Step) -> dict[int, set[Path]]:
     if erase_labels(labelled_term) != step.before:
         raise InvalidTrace("labelled term does not erase to the step source")
     path = transport_path(step.before, step.redex.path, labelled_term)
+    frames, node = _redex_frames(labelled_term, path)
     out: dict[int, set[Path]] = {}
-    for whole in _labelled_outcomes(labelled_term, path, step.after):
-        for lab, paths in labels_in(whole).items():
-            out.setdefault(lab, set()).update(paths)
+    for t, _ in giant_local(node):
+        whole = _plugged(frames, Sum.of(t)).sole()
+        if erase_labels(whole) == step.after:
+            for lab, paths in labels_in(whole).items():
+                out.setdefault(lab, set()).update(paths)
     return out
 
 
@@ -925,7 +909,12 @@ def trace_records(t: Trace) -> list[dict]:
 
 
 def trace_from_records(records: list[dict]) -> Trace:
-    """Rebuild and validate an nd trace from its serialized steps."""
+    """Rebuild and validate an nd trace from its serialized steps.
+
+    Each step is the nd reduct at its path that equals term_after.
+    chosen_addend is not read: printed on its own, it may name a variable
+    bound outside the redex otherwise than term_before does.
+    """
     from .parser import parse_term
 
     if not records:
@@ -943,13 +932,12 @@ def trace_from_records(records: list[dict]) -> Trace:
             raise InvalidTrace("only nd traces can be rebuilt from records")
         if parse_term(rec["term_before"]) != cur:
             raise InvalidTrace(f"step {rec['index']} does not chain")
-        chosen = rec.get("chosen_addend")
-        chosen_key = None
-        if chosen is not None:
-            chosen_key = label_free_key(parse_term(chosen))
-        step = fire_nd(cur, resolve_path(cur, rec["redex_path"]), chosen_key)
-        if parse_term(rec["term_after"]) != step.after:
+        path = resolve_path(cur, rec["redex_path"])
+        frames, node = _redex_frames(cur, path)
+        after = parse_term(rec["term_after"])
+        pair = next((p for p in _nd_pairs(frames, node) if p[1] == after), None)
+        if pair is None:
             raise InvalidTrace(f"step {rec['index']} result does not match")
-        steps.append(step)
-        cur = step.after
+        steps.append(make_nd_step(cur, _redex_of(frames, node, path), *pair))
+        cur = pair[1]
     return Trace(initial, tuple(steps), "nd", final=cur)

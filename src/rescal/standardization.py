@@ -2,12 +2,12 @@
 
 A non-deterministic trace is *standard* when no step fires a residual of
 a redex that came strictly earlier, in the position order, than the
-redex fired just before it.  This module checks that property with the
-label machinery of module reduction, and constructs standard chains
-independently of labels: factor a chain into an outer part followed by
-an inner part, make the outer part leftmost-first by repeated two-step
-swaps, split the inner part by the holes of the outer shape, and
-recurse into the hole contents.
+redex fired just before it.  A step keeps every position that precedes
+its redex, so the check compares positions and needs no labels.
+Standard chains are constructed by factoring a chain into an outer part
+followed by an inner part, making the outer part leftmost-first by
+repeated two-step swaps, splitting the inner part by the holes of the
+outer shape, and recursing into the hole contents.
 """
 
 from dataclasses import dataclass, replace
@@ -18,28 +18,25 @@ from .reduction import (
     AppArg,
     AppFun,
     BagElem,
+    InvalidPath,
     InvalidTrace,
     Path,
     PathStep,
     ResourceContent,
     Step,
     Trace,
-    _label_in_order,
-    _labelled_outcomes,
     _nd_fire,
     _ranked_elements,
     _reusable_cut,
     _search,
     find_redexes,
     fire_nd,
-    labels_in,
     make_nd_step,
     nd_reducts,
     precedes,
     resolve,
     resolve_path,
     serialize_path,
-    transport_path,
 )
 
 DEFAULT_SLACK = 2
@@ -151,32 +148,23 @@ def _trace(initial: Term, steps: list[Step]) -> Trace:
 def is_standard(t: Trace) -> StdReport:
     """Check an nd trace for standardness.
 
-    Each step's strictly-earlier redexes are labelled, the step is
-    replayed on the labelled term, and the next step must not fire any
-    position where a label survives.
+    A step rebuilds only the ancestors of its redex p and shares every
+    subterm off p's path.  A position q that precedes p contains p or
+    leaves p's path on a linear side, so it keeps its path, and a redex
+    at q survives as its own sole residual there.  So the next step
+    breaks standardness exactly when its path addresses a redex of this
+    step's source that precedes p.  (An application whose function is p
+    may become a redex, but it is created, not a residual.)
     """
     steps = _validated(t)
-    for i in range(len(steps) - 1):
-        cur = steps[i].before
-        fired = steps[i].redex.path
-        # find_redexes lists redexes in path order, so prior needs no sort.
-        prior = [r.path for r in find_redexes(cur) if precedes(r.path, fired, cur) == "Before"]
-        if not prior:
+    for i, (step, nxt) in enumerate(zip(steps, steps[1:]), 1):
+        cur, fired, q = step.before, step.redex.path, nxt.redex.path
+        try:
+            node = resolve(cur, q)
+        except InvalidPath:
             continue
-        labelled = _label_in_order(cur, prior)
-        lpath = transport_path(cur, fired, labelled)
-        nxt = steps[i + 1]
-        nxt_fired = serialize_path(nxt.before, nxt.redex.path)
-        for whole in _labelled_outcomes(labelled, lpath, steps[i].after):
-            for lab, paths in labels_in(whole).items():
-                for p in paths:
-                    if serialize_path(whole, p) == nxt_fired:
-                        violation = (
-                            i + 1,
-                            serialize_path(cur, prior[lab - 1]),
-                            serialize_path(cur, fired),
-                        )
-                        return StdReport(False, violation)
+        if isinstance(node, App) and isinstance(node.fun, Abs) and precedes(q, fired, cur) == "Before":
+            return StdReport(False, (i, serialize_path(cur, q), serialize_path(cur, fired)))
     return StdReport(True, None)
 
 

@@ -191,6 +191,18 @@ def test_check_accepts_a_recorded_leftmost_trace(capsys, tmp_path):
     assert out.strip() == "standard"
 
 
+def test_check_reloads_a_step_under_an_outer_binder(capsys, tmp_path):
+    """The chosen addend names the outer binder as the input does (b0),
+    the printed terms as the printer does (x); the trace still reloads."""
+    code, out, _ = run(capsys, ["reduce", "--format", "structured", r"\b0.(\b1.b1)[b0]"])
+    assert code == 0
+    f = tmp_path / "trace.jsonl"
+    f.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, ["standardize", "--trace-file", str(f), "--check"])
+    assert code == 0
+    assert out.strip() == "standard"
+
+
 def test_check_flags_a_nonstandard_trace(capsys, tmp_path):
     f = tmp_path / "bad.jsonl"
     lines = [json.dumps(rec) for rec in trace_records(nonstandard_trace())]
@@ -367,6 +379,7 @@ EXIT_CODES = [
     ("malformed term", ["reduce", "((("], 3),
     ("usage error", ["frobnicate", "x"], 3),
     ("missing --file", ["reduce", "--file", "{missing}"], 3),
+    ("internal error", ["reduce", "".join(f"\\x{i}." for i in range(3000)) + "x0"], 4),
 ]
 
 
