@@ -18,7 +18,6 @@ from .machine import (
     machine_step_run,
     may_solvable,
     outcome_record,
-    tree_record,
     verdict_record,
 )
 from .parser import ParseError, parse_lambda_term, parse_term, print_expr
@@ -143,12 +142,15 @@ def _emit_trace_lines(t: Trace, index: int) -> None:
         print(json.dumps(rec))
 
 
-def _render_tree(node, depth: int = 0) -> list[str]:
-    pad = "  " * depth
-    chose = f"  [chose {print_expr(node.choice)}]" if node.choice is not None else ""
-    lines = [f"{pad}({node.rule}) {print_expr(node.input)} => {print_expr(node.output)}{chose}"]
-    for child in node.children:
-        lines.extend(_render_tree(child, depth + 1))
+def _render_tree(node) -> list[str]:
+    """One line per judgment, root first, each indented by its depth."""
+    lines = []
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        chose = f"  [chose {print_expr(node.choice)}]" if node.choice is not None else ""
+        lines.append(f"{'  ' * depth}({node.rule}) {print_expr(node.input)} => {print_expr(node.output)}{chose}")
+        stack.extend((c, depth + 1) for c in reversed(node.children))
     return lines
 
 

@@ -140,29 +140,41 @@ def _respine(head: Term, apps: list[App]) -> Term:
     return out
 
 
+# The spine memo of a term whose empty-bag firing is the zero sum.
+_UNDEFINED = ("undefined",)
+
+
 def _spine_fire(m: Term):
     """Expand the head redex of an abstraction-headed spine by one bag
-    element: rule name, per-choice continuations, and the sum size."""
-    head, apps = _spine(m)
-    redex = apps[0]
-    rest_apps = apps[1:]
-    binder, body, bag = _fresh_redex(App(head, redex.arg, None))
-    if not bag.elements:
-        s = classical_subst(body, binder, ZERO)
-        if s.is_zero:
-            raise _Undef(m)
-        return "0", [(None, None, _respine(s.sole(), rest_apps))], 1
-    out = []
-    for elem in sorted(bag.elements, key=element_rank):
-        rest = Bag(tuple(r for r in bag.elements if r is not elem))
-        rule = "beta" if isinstance(elem, Linear) else "!beta"
-        addends = [t for t, _ in resource_subst(body, binder, elem)]
-        conts = [
-            (elem, local, _respine(App(Abs(binder, local), rest, None), rest_apps))
-            for local in addends
-        ]
-        out.append((rule, conts, len(addends)))  # empty conts: undefined branch
-    return out
+    element: rule name, per-choice continuations, and the sum size.
+
+    Memoized on m, an undefined firing included, so every run and
+    explorer that reaches m gets the same continuation objects, and
+    their own memos serve the firings after them.
+    """
+    fired = m._spine_cache
+    if fired is None:
+        head, apps = _spine(m)
+        rest_apps = apps[1:]
+        binder, body, bag = _fresh_redex(App(head, apps[0].arg, None))
+        if not bag.elements:
+            s = classical_subst(body, binder, ZERO)
+            fired = _UNDEFINED if s.is_zero else ("0", ((None, None, _respine(s.sole(), rest_apps)),), 1)
+        else:
+            groups = []
+            for elem in sorted(bag.elements, key=element_rank):
+                rest = Bag(tuple(r for r in bag.elements if r is not elem))
+                rule = "beta" if isinstance(elem, Linear) else "!beta"
+                conts = tuple(
+                    (elem, local, _respine(App(Abs(binder, local), rest, None), rest_apps))
+                    for local, _ in resource_subst(body, binder, elem)
+                )
+                groups.append((rule, conts, len(conts)))  # empty conts: undefined branch
+            fired = tuple(groups)
+        object.__setattr__(m, "_spine_cache", fired)
+    if fired is _UNDEFINED:
+        raise _Undef(m)
+    return fired
 
 
 def _pick(policy: str, rng, items: list):
@@ -583,15 +595,24 @@ def reconstruct_trace(tree: MachineNode) -> Trace:
 
 
 def tree_record(node: MachineNode) -> dict:
+    """The tree as nested dicts, built root first with an explicit stack:
+    each record is appended to its parent's children when it is made."""
     from .parser import print_expr
 
-    return {
-        "rule": node.rule,
-        "judgment_in": print_expr(node.input),
-        "judgment_out": print_expr(node.output),
-        "choice": None if node.choice is None else print_expr(node.choice),
-        "children": [tree_record(c) for c in node.children],
-    }
+    top: list[dict] = []
+    stack = [(node, top)]
+    while stack:
+        node, siblings = stack.pop()
+        children: list[dict] = []
+        siblings.append({
+            "rule": node.rule,
+            "judgment_in": print_expr(node.input),
+            "judgment_out": print_expr(node.output),
+            "choice": None if node.choice is None else print_expr(node.choice),
+            "children": children,
+        })
+        stack.extend((c, children) for c in reversed(node.children))
+    return top[0]
 
 
 def verdict_record(v) -> dict:

@@ -13,6 +13,8 @@ Grammar (whitespace insensitive, \\ and the unicode lambda are synonyms):
 
 The printer renames binders to a fixed sequence and orders bag elements
 canonically, so alpha-equivalent inputs print to the identical string.
+It keeps an explicit stack, so it prints at any nesting depth; the
+parser recurses.
 """
 
 from __future__ import annotations
@@ -291,36 +293,60 @@ def print_expr(e: Node) -> str:
 
 
 def _print(e: Node, levels: dict[str, int], depth: int, names: dict[str, str], used: set[str]) -> str:
-    match e:
-        case Var(name):
-            return names.get(name, name)
-        case Hole(index):
-            return f"#{index}"
-        case Abs(binder, body):
+    """Print e under the binder context: levels and depth as canon_at
+    takes them, the printed name of each binder, and the names in use.
+
+    Walks with an explicit stack of visits, (node, context), and of
+    builds, (node, None), and keeps the strings printed so far on
+    another, so any nesting depth prints.
+    """
+    out: list[str] = []
+    stack: list[tuple] = [(e, (levels, depth, names, used))]
+    while stack:
+        e, ctx = stack.pop()
+        cls = type(e)
+        if ctx is None:
+            if cls is App:
+                arg_s = out.pop()
+                fun_s = out.pop()
+                if type(e.fun) is Abs:
+                    fun_s = f"({fun_s})"
+                out.append(f"{fun_s} {arg_s}" if arg_s == "1" and fun_s[-1].isalnum() else fun_s + arg_s)
+            elif cls is Abs:
+                body_s = out.pop()
+                out.append(f"\\{out.pop()}.{body_s}")
+            elif cls is Bag:
+                n = len(e.elements)
+                parts = out[len(out) - n :]
+                del out[len(out) - n :]
+                out.append("[" + ", ".join(parts) + "]")
+            else:
+                out.append("!" + out.pop())
+        elif cls is Var:
+            out.append(ctx[2].get(e.name, e.name))
+        elif cls is App:
+            stack += ((e, None), (e.arg, ctx), (e.fun, ctx))
+        elif cls is Linear:
+            stack.append((e.content, ctx))
+        elif cls is Abs:
+            levels, depth, names, used = ctx
             printed = _pick_name(used)
-            inner = _print(
-                body,
-                {**levels, binder: depth},
-                depth + 1,
-                {**names, binder: printed},
-                used | {printed},
-            )
-            return f"\\{printed}.{inner}"
-        case App(fun, arg):
-            fun_s = _print(fun, levels, depth, names, used)
-            if isinstance(fun, Abs):
-                fun_s = f"({fun_s})"
-            arg_s = _print(arg, levels, depth, names, used)
-            if arg_s == "1" and fun_s[-1].isalnum():
-                return f"{fun_s} {arg_s}"
-            return fun_s + arg_s
-        case Bag(elements):
-            if not elements:
-                return "1"
-            ordered = sorted(elements, key=lambda r: canon_at(r, levels, depth))
-            return "[" + ", ".join(_print(r, levels, depth, names, used) for r in ordered) + "]"
-        case Linear(content):
-            return _print(content, levels, depth, names, used)
-        case Reusable(content):
-            return "!" + _print(content, levels, depth, names, used)
-    raise TypeError(f"not a printable node: {e!r}")
+            out.append(printed)
+            binder = e.binder
+            inner = ({**levels, binder: depth}, depth + 1, {**names, binder: printed}, used | {printed})
+            stack += ((e, None), (e.body, inner))
+        elif cls is Bag:
+            if not e.elements:
+                out.append("1")
+                continue
+            levels, depth = ctx[0], ctx[1]
+            ordered = sorted(e.elements, key=lambda r: canon_at(r, levels, depth))
+            stack.append((e, None))
+            stack.extend((r, ctx) for r in reversed(ordered))
+        elif cls is Reusable:
+            stack += ((e, None), (e.content, ctx))
+        elif cls is Hole:
+            out.append(f"#{e.index}")
+        else:
+            raise TypeError(f"not a printable node: {e!r}")
+    return out[0]

@@ -554,23 +554,33 @@ def baby_expand(m: Term, r: Redex) -> Sum:
 
 def nd_reducts(m: Term, r: Redex) -> list[tuple[Term, Term]]:
     """(local addend, whole term) pairs, one per giant-result addend,
-    deduplicated and in canonical order of the local addend."""
-    return _nd_pairs(*_redex_frames(m, r.path))
+    deduplicated and in canonical order of the local addend.  A fresh
+    list of the pairs _nd_pairs keeps on m."""
+    return list(_nd_pairs(m, r.path))
 
 
-def _nd_pairs(frames: list[tuple[Node, PathStep]], node: App) -> list[tuple[Term, Term]]:
-    """nd_reducts, given the frames of the redex's path and the redex."""
-    local = giant_local(node)
-    out: list[tuple[Term, Term]] = []
-    seen = set()
-    for t, _ in local:
-        if t.canon() in seen:
-            continue
-        seen.add(t.canon())
-        whole = _plugged(frames, Sum.of(t)).sole()
-        out.append((t, whole))
-    out.sort(key=lambda p: p[0].canon())
-    return out
+def _nd_pairs(m: Term, path: Path) -> tuple[tuple[Term, Term], ...]:
+    """The nd reducts of the redex of m at path, memoized on m by the
+    path's steps: fired once, then the same pairs on every call, so the
+    whole terms keep their own caches.  Raises InvalidRedex on a path
+    that addresses no redex."""
+    memo = m._nd_cache
+    pairs = None if memo is None else memo.get(path.steps)
+    if pairs is None:
+        frames, node = _redex_frames(m, path)
+        out: list[tuple[Term, Term]] = []
+        seen = set()
+        for t, _ in giant_local(node):
+            if t.canon() in seen:
+                continue
+            seen.add(t.canon())
+            out.append((t, _plugged(frames, Sum.of(t)).sole()))
+        out.sort(key=lambda p: p[0].canon())
+        if memo is None:
+            memo = {}
+            object.__setattr__(m, "_nd_cache", memo)
+        pairs = memo[path.steps] = tuple(out)
+    return pairs
 
 
 def nd_step(m: Term, r: Redex) -> set[Term]:
@@ -581,7 +591,7 @@ def nd_step(m: Term, r: Redex) -> set[Term]:
 def make_giant_step(m: Term, r: Redex) -> Step:
     """The giant step firing r, a redex of m as find_redexes or
     _least_leftmost give it."""
-    return Step(m, replace(r, rule="Giant"), "giant", giant_step(m, r))
+    return Step(m, Redex(r.path, "Giant", r.outer, r.leftmost), "giant", giant_step(m, r))
 
 
 def make_baby_step(m: Term, r: Redex) -> Step:
@@ -593,15 +603,14 @@ def make_baby_step(m: Term, r: Redex) -> Step:
 def make_nd_step(m: Term, r: Redex, local: Term, whole: Term) -> Step:
     """The nd step firing r, a redex of m as find_redexes, _least_leftmost
     or redex_at give it, to the local addend local."""
-    return Step(m, replace(r, rule="Giant"), "nd", whole, local=local)
+    return Step(m, Redex(r.path, "Giant", r.outer, r.leftmost), "nd", whole, local=local)
 
 
 def fire_nd(m: Term, path: Path, chosen=None) -> Step:
     """Fire one nd step; chosen picks the local addend by canonical form
     (least when omitted).  Raises InvalidTrace when nothing matches."""
-    frames, node = _redex_frames(m, path)
-    r = _redex_of(frames, node, path)
-    pairs = _nd_pairs(frames, node)
+    r = redex_at(m, path)
+    pairs = _nd_pairs(m, path)
     if not pairs:
         raise InvalidTrace("the fired redex reduces to zero")
     if chosen is None:
@@ -655,12 +664,14 @@ def labels_in(m: Node) -> dict[int, set[Path]]:
 def erase_labels(m: Node) -> Node:
     """m with every redex label removed.  Each node that holds no label is
     returned as it is, so its cached keys carry over; bag elements keep
-    their ids.  Walks with an explicit stack, children before parents."""
+    their ids.  Every node returned is marked label-free, and a marked
+    node is returned at once, without a walk.  Walks with an explicit
+    stack, children before parents."""
     done: list[Node] = []
     stack: list[tuple[Node, tuple | None]] = [(m, None)]
     while stack:
         node, kids = stack.pop()
-        if isinstance(node, (Var, Hole)):
+        if isinstance(node, (Var, Hole)) or getattr(node, "_label_free", False):
             done.append(node)
         elif kids is None:
             kids = _children(node)
@@ -669,7 +680,9 @@ def erase_labels(m: Node) -> Node:
         else:
             erased = done[len(done) - len(kids) :]
             del done[len(done) - len(kids) :]
-            done.append(_with_children(node, kids, erased))
+            node = _with_children(node, kids, erased)
+            object.__setattr__(node, "_label_free", True)
+            done.append(node)
     return done[0]
 
 
@@ -745,7 +758,7 @@ def _nd_leftmost_run(m: Term, budget: int) -> Trace:
         r = _least_leftmost(cur)
         if r is None:
             return Trace(m, tuple(steps), "nd", final=cur)
-        pairs = nd_reducts(cur, r)
+        pairs = _nd_pairs(cur, r.path)
         if not pairs:
             return Trace(m, tuple(steps), "nd", final=cur, crashed=True)
         local, whole = pairs[0]
@@ -825,7 +838,7 @@ def _search(root, moves, fire, budget: int, key):
 
 def _nd_fire(m: Term, r: Redex):
     """Each nd step of firing r, with the term it reaches."""
-    return ((make_nd_step(m, r, local, whole), whole) for local, whole in nd_reducts(m, r))
+    return ((make_nd_step(m, r, local, whole), whole) for local, whole in _nd_pairs(m, r.path))
 
 
 def _run_traces(m: Term, mode: str, moves, events) -> list[Trace]:
@@ -933,11 +946,11 @@ def trace_from_records(records: list[dict]) -> Trace:
         if parse_term(rec["term_before"]) != cur:
             raise InvalidTrace(f"step {rec['index']} does not chain")
         path = resolve_path(cur, rec["redex_path"])
-        frames, node = _redex_frames(cur, path)
+        r = redex_at(cur, path)
         after = parse_term(rec["term_after"])
-        pair = next((p for p in _nd_pairs(frames, node) if p[1] == after), None)
+        pair = next((p for p in _nd_pairs(cur, path) if p[1] == after), None)
         if pair is None:
             raise InvalidTrace(f"step {rec['index']} result does not match")
-        steps.append(make_nd_step(cur, _redex_of(frames, node, path), *pair))
+        steps.append(make_nd_step(cur, r, *pair))
         cur = pair[1]
     return Trace(initial, tuple(steps), "nd", final=cur)

@@ -21,6 +21,15 @@ of a reduct is keyed already.  The caches are plain attributes, not
 dataclass fields, so equality, repr and dataclasses.replace ignore them.
 Keying and free-variable collection walk with explicit stacks, so they
 answer at any nesting depth.
+
+Three more caches hold what reduction finds out about a node.  A term
+keeps its nd reducts, one tuple of (local addend, whole term) pairs per
+redex path fired, and the machine's firing of its spine, an undefined
+firing included; erase_labels marks each node it proves label-free and
+hands such a node back without a walk.  The successors a node caches
+are the same objects on every later call, so their own caches serve the
+next firing too, and they stay alive exactly as long as the node does:
+there is no cache outside the nodes.
 """
 
 from __future__ import annotations
@@ -47,6 +56,12 @@ class Node:
     _fv_cache: frozenset[str] | None = None
     _canon_cache: tuple | None = None
     _lf_cache: tuple | None = None
+    # Successor caches, filled by reduction and machine: nd reducts by
+    # redex path steps, and the spine firing; _label_free is set by
+    # erase_labels on a node that holds no label.
+    _nd_cache: dict | None = None
+    _spine_cache: tuple | None = None
+    _label_free: bool = False
 
     def canon(self):
         """Nameless canonical form, cached on first use."""

@@ -175,3 +175,20 @@ def positions(m):
             case Linear(content) | Reusable(content):
                 stack.append((steps + (ResourceContent(),), content))
     return out
+
+
+def fresh(m):
+    """A copy of m built from new nodes, so nothing is cached on it yet;
+    bag elements keep their ids, so paths carry over."""
+    match m:
+        case Var(name):
+            return Var(name)
+        case Abs(binder, body):
+            return Abs(binder, fresh(body))
+        case App(fun, arg, lab):
+            return App(fresh(fun), fresh(arg), lab)
+        case Bag(elements):
+            return Bag(tuple(fresh(r) for r in elements))
+        case Linear(content) | Reusable(content):
+            return type(m)(fresh(content), m.ident)
+    raise TypeError(m)

@@ -368,6 +368,12 @@ def test_structured_record_keys_match_the_readme(capsys, tmp_path):
 # --------------------------------------------------------------- exit codes
 
 
+# 200 nested linear identities (\x.x)[(\x.x)[…y]]: their machine trees
+# and witnesses render and print without recursion.
+NESTED_200 = "y"
+for _ in range(200):
+    NESTED_200 = rf"(\x.x)[{NESTED_200}]"
+
 EXIT_CODES = [
     ("ok", ["reduce", "--mode", "giant", r"(\x.x[x])[a,b]"], 0),
     ("reduction to zero", ["reduce", r"(\x.x)1"], 1),
@@ -380,6 +386,10 @@ EXIT_CODES = [
     ("usage error", ["frobnicate", "x"], 3),
     ("missing --file", ["reduce", "--file", "{missing}"], 3),
     ("internal error", ["reduce", "".join(f"\\x{i}." for i in range(3000)) + "x0"], 4),
+    ("deep machine tree", ["machine", "--tree", NESTED_200], 0),
+    ("deep machine record", ["machine", "--tree", "--format", "structured", NESTED_200], 0),
+    ("deep witness tree", ["solvable", "--tree", NESTED_200], 0),
+    ("deep witness record", ["solvable", "--format", "structured", NESTED_200], 0),
 ]
 
 

@@ -17,7 +17,7 @@ and erase_labels.
 import random
 
 import oracle_keys as oracle
-from genterms import all_terms, random_term
+from genterms import all_terms, fresh, random_term
 from rescal import (
     Abs,
     App,
@@ -40,22 +40,6 @@ from rescal.syntax import canon_at, label_free_key
 # Replacements with free names that clash with the generators' binders,
 # so substitution renames as well as shares.
 _REPLACEMENTS = (Var("b0"), Abs("b1", App(Var("b0"), Bag((Linear(Var("b1")),)))))
-
-
-def fresh(m):
-    """A copy of m built from new nodes, so no key is cached yet."""
-    match m:
-        case Var(name):
-            return Var(name)
-        case Abs(binder, body):
-            return Abs(binder, fresh(body))
-        case App(fun, arg, lab):
-            return App(fresh(fun), fresh(arg), lab)
-        case Bag(elements):
-            return Bag(tuple(fresh(r) for r in elements))
-        case Linear(content) | Reusable(content):
-            return type(m)(fresh(content), m.ident)
-    raise TypeError(m)
 
 
 def subterms(m) -> list[tuple]:
