@@ -39,10 +39,9 @@ from .reduction import (
     _fresh_redex,
     _frames,
     _rebuild,
+    _redex_and_pairs,
     erase_labels,
     is_onf,
-    nd_reducts,
-    redex_at,
     make_nd_step,
     resolve,
 )
@@ -499,8 +498,8 @@ class _Rebuilder:
         _, apps = _spine(subject)
         redex_path = Path(prefix + (AppFun(),) * (len(apps) - 1))
         expected = _rebuild(frames, expected_sub)
-        r = redex_at(self.cur, redex_path)
-        for local, whole in nd_reducts(self.cur, r):
+        r, pairs = _redex_and_pairs(self.cur, redex_path)
+        for local, whole in pairs:
             if whole == expected:
                 step = make_nd_step(self.cur, r, local, whole)
                 self.steps.append(step)

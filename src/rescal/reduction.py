@@ -559,15 +559,16 @@ def nd_reducts(m: Term, r: Redex) -> list[tuple[Term, Term]]:
     return list(_nd_pairs(m, r.path))
 
 
-def _nd_pairs(m: Term, path: Path) -> tuple[tuple[Term, Term], ...]:
+def _nd_pairs(m: Term, path: Path, walked=None) -> tuple[tuple[Term, Term], ...]:
     """The nd reducts of the redex of m at path, memoized on m by the
     path's steps: fired once, then the same pairs on every call, so the
-    whole terms keep their own caches.  Raises InvalidRedex on a path
-    that addresses no redex."""
+    whole terms keep their own caches.  walked is _redex_frames(m, path)
+    when the caller already has it.  Raises InvalidRedex on a path that
+    addresses no redex."""
     memo = m._nd_cache
     pairs = None if memo is None else memo.get(path.steps)
     if pairs is None:
-        frames, node = _redex_frames(m, path)
+        frames, node = walked or _redex_frames(m, path)
         out: list[tuple[Term, Term]] = []
         seen = set()
         for t, _ in giant_local(node):
@@ -581,6 +582,12 @@ def _nd_pairs(m: Term, path: Path) -> tuple[tuple[Term, Term], ...]:
             object.__setattr__(m, "_nd_cache", memo)
         pairs = memo[path.steps] = tuple(out)
     return pairs
+
+
+def _redex_and_pairs(m: Term, path: Path) -> tuple[Redex, tuple[tuple[Term, Term], ...]]:
+    """The Redex at path and its nd reducts, from one walk down."""
+    walked = _redex_frames(m, path)
+    return _redex_of(*walked, path), _nd_pairs(m, path, walked)
 
 
 def nd_step(m: Term, r: Redex) -> set[Term]:
@@ -609,8 +616,7 @@ def make_nd_step(m: Term, r: Redex, local: Term, whole: Term) -> Step:
 def fire_nd(m: Term, path: Path, chosen=None) -> Step:
     """Fire one nd step; chosen picks the local addend by canonical form
     (least when omitted).  Raises InvalidTrace when nothing matches."""
-    r = redex_at(m, path)
-    pairs = _nd_pairs(m, path)
+    r, pairs = _redex_and_pairs(m, path)
     if not pairs:
         raise InvalidTrace("the fired redex reduces to zero")
     if chosen is None:
@@ -946,9 +952,9 @@ def trace_from_records(records: list[dict]) -> Trace:
         if parse_term(rec["term_before"]) != cur:
             raise InvalidTrace(f"step {rec['index']} does not chain")
         path = resolve_path(cur, rec["redex_path"])
-        r = redex_at(cur, path)
+        r, pairs = _redex_and_pairs(cur, path)
         after = parse_term(rec["term_after"])
-        pair = next((p for p in _nd_pairs(cur, path) if p[1] == after), None)
+        pair = next((p for p in pairs if p[1] == after), None)
         if pair is None:
             raise InvalidTrace(f"step {rec['index']} result does not match")
         steps.append(make_nd_step(cur, r, *pair))
