@@ -109,11 +109,19 @@ class _Undef(Exception):
 
 
 class _Budget:
+    """The rule budget of one run, and the run's table of the terms a 0
+    rule has continued with, keyed by canonical form: a single run goes
+    on from the first node of each alpha-class it meets, so after one lap
+    round a cycle its firings are memo hits.  Every cycle of a run passes
+    a 0 rule, since between two of them a run only enters a λ or a
+    smaller bag, or feeds one more element of the head redex's bag."""
+
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("budget must be at least 1")
         self.limit = limit
         self.spent = 0
+        self.reached: dict[tuple, Term] = {}
 
     def spend(self):
         if self.spent >= self.limit:
@@ -209,7 +217,8 @@ def _nd_once(m: Term, policy: str, rng, budget: _Budget) -> MachineNode:
                 fired = _spine_fire(cur)
                 if fired[0] == "0":
                     frames.append((cur, "0", None, False))
-                    cur = fired[1][0][2]
+                    cont = fired[1][0][2]
+                    cur = budget.reached.setdefault(cont.canon(), cont)
                     continue
                 rule, conts, width = _pick(policy, rng, fired)
                 if not conts:

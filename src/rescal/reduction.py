@@ -644,26 +644,24 @@ def _label_in_order(m: Term, paths: Iterable[Path]) -> Term:
 
 
 def labels_in(m: Node) -> dict[int, set[Path]]:
+    """The paths of m's labelled applications, by label.  Walks with an
+    explicit stack, linking each path to its parent as _redexes does and
+    spelling out only the labelled ones, so it answers at any depth."""
     found: dict[int, set[Path]] = {}
-
-    def walk(node: Node, prefix: tuple[PathStep, ...]):
+    stack: list[tuple[Node, tuple | None]] = [(m, None)]
+    while stack:
+        node, link = stack.pop()
         match node:
-            case Var():
-                return
             case Abs(_, body):
-                walk(body, prefix + (AbsBody(),))
+                stack.append((body, (link, (_BODY,))))
             case App(fun, arg, lab):
                 if lab is not None:
-                    found.setdefault(lab, set()).add(Path(prefix))
-                walk(fun, prefix + (AppFun(),))
-                walk(arg, prefix + (AppArg(),))
+                    found.setdefault(lab, set()).add(Path(_spelled(link)))
+                stack += ((fun, (link, (_FUN,))), (arg, (link, (_ARG,))))
             case Bag(elements):
-                for r in elements:
-                    walk(r.content, prefix + (BagElem(r.ident), ResourceContent()))
+                stack += ((r.content, (link, (BagElem(r.ident), _CONTENT))) for r in elements)
             case Linear(content) | Reusable(content):
-                walk(content, prefix + (ResourceContent(),))
-
-    walk(m, ())
+                stack.append((content, (link, (_CONTENT,))))
     return found
 
 
@@ -758,8 +756,13 @@ def _candidates(m: Term, leftmost_only: bool) -> list[Redex]:
 
 
 def _nd_leftmost_run(m: Term, budget: int) -> Trace:
+    """The leftmost nd run from m.  Each term reached is replaced by the
+    first node of its alpha-class in this run (reached, keyed by canonical
+    form), so a run round a cycle goes on from nodes it has already fired
+    and every later lap is a memo hit.  The table lives for one run."""
     steps: list[Step] = []
     cur = m
+    reached = {m.canon(): m}
     for _ in range(budget):
         r = _least_leftmost(cur)
         if r is None:
@@ -768,6 +771,7 @@ def _nd_leftmost_run(m: Term, budget: int) -> Trace:
         if not pairs:
             return Trace(m, tuple(steps), "nd", final=cur, crashed=True)
         local, whole = pairs[0]
+        whole = reached.setdefault(whole.canon(), whole)
         steps.append(make_nd_step(cur, r, local, whole))
         cur = whole
     done = is_onf(cur)

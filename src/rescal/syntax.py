@@ -28,8 +28,12 @@ redex path fired, and the machine's firing of its spine, an undefined
 firing included; erase_labels marks each node it proves label-free and
 hands such a node back without a walk.  The successors a node caches
 are the same objects on every later call, so their own caches serve the
-next firing too, and they stay alive exactly as long as the node does:
-there is no cache outside the nodes.
+next firing too, and they stay alive exactly as long as the node does.
+The one cache outside the nodes is a single run's table from canonical
+form to the first node of each alpha-class the run reaches (the leftmost
+nd run in reduction, a single machine run in machine): the run goes on
+from that node, so a run round a cycle fires nodes it has fired before,
+and the table dies with the run.
 """
 
 from __future__ import annotations
@@ -403,23 +407,34 @@ def _fv_of(node: Node) -> frozenset[str]:
 
 
 def size(e: Node) -> int:
-    """Symbol count: variables, binders, applications, and ! marks."""
-    match e:
-        case Var() | Hole():
-            return 1
-        case Abs(_, body):
-            return 1 + size(body)
-        case App(fun, arg):
-            return 1 + size(fun) + size(arg)
-        case Linear(content):
-            return size(content)
-        case Reusable(content):
-            return 1 + size(content)
-        case Bag(elements):
-            return sum(size(r) for r in elements)
-        case Sum(addends):
-            return sum(m * size(a) for a, m in addends)
-    raise TypeError(f"not a syntax node: {e!r}")
+    """Symbol count: variables, binders, applications, and ! marks.
+    Walks with an explicit stack of (node, multiplicity), so it counts
+    at any nesting depth; a sum addend counts once per copy."""
+    total = 0
+    stack: list[tuple[Node, int]] = [(e, 1)]
+    while stack:
+        node, k = stack.pop()
+        match node:
+            case Var() | Hole():
+                total += k
+            case Abs(_, body):
+                total += k
+                stack.append((body, k))
+            case App(fun, arg):
+                total += k
+                stack += ((fun, k), (arg, k))
+            case Linear(content):
+                stack.append((content, k))
+            case Reusable(content):
+                total += k
+                stack.append((content, k))
+            case Bag(elements):
+                stack += ((r, k) for r in elements)
+            case Sum(addends):
+                stack += ((a, k * m) for a, m in addends)
+            case _:
+                raise TypeError(f"not a syntax node: {node!r}")
+    return total
 
 
 _NAME_SUFFIX = re.compile(r"_[0-9]+$")
